@@ -34,7 +34,9 @@
  *                       bit-identical results)
  *     --seed N          workload + chaos seed (default 1)
  *     --check LIST      comma list of checkers: serial, invariants
- *                       (bare --check arms the serial checker)
+ *                       (or --check=LIST; a bare --check, or one
+ *                       followed by another flag, arms the serial
+ *                       checker)
  *     --trace           dump the full protocol trace to stderr
  *     --trace-out FILE  record the structured protocol trace and write
  *                       it as Chrome/Perfetto trace JSON to FILE (open
@@ -257,10 +259,13 @@ main(int argc, char **argv)
             seed = static_cast<std::uint64_t>(
                 std::atoll(next().c_str()));
         } else if (arg == "--check") {
-            // Bare --check arms the serial checker (legacy); the
-            // value form picks the set: --check=serial,invariants.
+            // Bare --check arms the serial checker (legacy). A value -
+            // --check=LIST, or the next argument when it is not a
+            // flag - picks the set: serial,invariants.
             if (has_inline)
                 parseCheck(inline_val, cfg.check, argv[0]);
+            else if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2))
+                parseCheck(argv[++i], cfg.check, argv[0]);
             else
                 cfg.check.serial = true;
         } else if (arg == "--trace") {
@@ -282,6 +287,8 @@ main(int argc, char **argv)
         } else if (arg == "--contention-dot") {
             contention_dot_path = next();
         } else {
+            std::fprintf(stderr, "%s: unknown argument '%s'\n", argv[0],
+                         argv[i]);
             usage(argv[0]);
         }
     }

@@ -14,6 +14,7 @@ isPow2(std::uint32_t v)
 
 SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
     : config(cfg), lines(ArenaAllocator<Line>(arena)),
+      keyBlocks(ArenaAllocator<KeyBlock>(arena)),
       l1Tags(ArenaAllocator<L1Tag>(arena)),
       specSlots(ArenaAllocator<std::uint32_t>(arena))
 {
@@ -29,7 +30,9 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
     l2Sets = l2_lines / cfg.l2Assoc;
     if (!isPow2(l2Sets))
         fatal("L2 set count must be a power of two");
-    lines.assign(static_cast<std::size_t>(l2Sets) * cfg.l2Assoc, Line{});
+    const std::size_t ways = static_cast<std::size_t>(l2Sets) * cfg.l2Assoc;
+    lines.assign(ways, Line{});
+    keyBlocks.assign((ways + 7) / 8, KeyBlock{});
 
     const std::uint32_t l1_lines = cfg.l1Bytes / cfg.lineBytes;
     if (l1_lines % cfg.l1Assoc != 0)
@@ -58,39 +61,26 @@ SpecCache::setOf(Addr lineAddr) const
         (lineAddr / config.lineBytes) & (l2Sets - 1));
 }
 
-SpecCache::Line *
-SpecCache::find(Addr lineAddr)
+std::uint32_t
+SpecCache::findSlot(Addr lineAddr) const
 {
-    const std::uint32_t set = setOf(lineAddr);
-    Line *base = &lines[static_cast<std::size_t>(set) * config.l2Assoc];
-    for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
-        if (base[w].allocated && base[w].tag == lineAddr)
-            return &base[w];
+    const std::uint32_t base = setOf(lineAddr) * config.l2Assoc;
+    const Addr key = keyOf(lineAddr);
+    for (std::uint32_t s = base; s < base + config.l2Assoc; ++s) {
+        if (keyAt(s) == key)
+            return s;
     }
-    return nullptr;
+    return kNoSlot;
 }
 
 const SpecCache::Line *
 SpecCache::find(Addr lineAddr) const
 {
-    return const_cast<SpecCache *>(this)->find(lineAddr);
+    const std::uint32_t slot = findSlot(lineAddr);
+    return slot == kNoSlot ? nullptr : &lines[slot];
 }
 
 bool
-SpecCache::l1Hit(Addr lineAddr) const
-{
-    const std::uint32_t set = static_cast<std::uint32_t>(
-        (lineAddr / config.lineBytes) & (l1Sets - 1));
-    const L1Tag *base =
-        &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
-    for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
-        if (base[w].valid && base[w].tag == lineAddr)
-            return true;
-    }
-    return false;
-}
-
-void
 SpecCache::touchL1(Addr lineAddr)
 {
     const std::uint32_t set = static_cast<std::uint32_t>(
@@ -100,7 +90,7 @@ SpecCache::touchL1(Addr lineAddr)
     for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
         if (base[w].valid && base[w].tag == lineAddr) {
             base[w].lru = ++lruClock;
-            return;
+            return true;
         }
         if (!base[w].valid) {
             victim = w;
@@ -110,6 +100,7 @@ SpecCache::touchL1(Addr lineAddr)
         }
     }
     base[victim] = L1Tag{lineAddr, true, ++lruClock};
+    return false;
 }
 
 void
@@ -125,11 +116,12 @@ SpecCache::dropL1(Addr lineAddr)
 }
 
 void
-SpecCache::noteSpec(Line &line, std::uint32_t set, std::uint32_t way)
+SpecCache::noteSpec(std::uint32_t slot)
 {
+    Line &line = lines[slot];
     if (!line.inSpecList) {
         line.inSpecList = true;
-        specSlots.push_back(set * config.l2Assoc + way);
+        specSlots.push_back(slot);
     }
 }
 
@@ -140,11 +132,12 @@ SpecCache::load(Addr addr)
     const Addr la = lineAlign(addr);
     const WordMask m = maskFor(addr);
 
-    Line *line = find(la);
-    if (!line || (line->valid & m) != m) {
+    const std::uint32_t slot = findSlot(la);
+    if (slot == kNoSlot || (lines[slot].valid & m) != m) {
         ++cacheStats.misses;
         return LoadOutcome{false, 0};
     }
+    Line *line = &lines[slot];
 
     // Reading a word this transaction already wrote is not a
     // dependence on other transactions; under word granularity we can
@@ -156,21 +149,15 @@ SpecCache::load(Addr addr)
             line->sr |= (m & ~line->sm);
         else
             line->sr |= m;
-        const std::uint32_t set = setOf(la);
-        noteSpec(*line, set,
-                 static_cast<std::uint32_t>(
-                     line - &lines[static_cast<std::size_t>(set) *
-                                   config.l2Assoc]));
+        noteSpec(slot);
     }
     line->lru = ++lruClock;
 
-    if (l1Hit(la)) {
+    if (touchL1(la)) {
         ++cacheStats.l1Hits;
-        touchL1(la);
         return LoadOutcome{true, config.l1Latency};
     }
     ++cacheStats.l2Hits;
-    touchL1(la);
     return LoadOutcome{true, config.l2Latency};
 }
 
@@ -181,11 +168,12 @@ SpecCache::store(Addr addr)
     const Addr la = lineAlign(addr);
     const WordMask m = maskFor(addr);
 
-    Line *line = find(la);
-    if (!line) {
+    const std::uint32_t slot = findSlot(la);
+    if (slot == kNoSlot) {
         ++cacheStats.misses;
         return StoreOutcome{false, false, 0};
     }
+    Line *line = &lines[slot];
 
     StoreOutcome out;
     out.hit = true;
@@ -200,20 +188,15 @@ SpecCache::store(Addr addr)
     line->sm |= m;
     line->valid |= m;
     line->lru = ++lruClock;
-    const std::uint32_t set = setOf(la);
-    noteSpec(*line, set,
-             static_cast<std::uint32_t>(
-                 line - &lines[static_cast<std::size_t>(set) *
-                               config.l2Assoc]));
+    noteSpec(slot);
 
-    if (l1Hit(la)) {
+    if (touchL1(la)) {
         ++cacheStats.l1Hits;
         out.latency = config.l1Latency;
     } else {
         ++cacheStats.l2Hits;
         out.latency = config.l2Latency;
     }
-    touchL1(la);
     return out;
 }
 
@@ -223,53 +206,51 @@ SpecCache::fill(Addr addr)
     const Addr la = lineAlign(addr);
     FillOutcome out;
 
-    Line *line = find(la);
-    if (line) {
+    const std::uint32_t slot = findSlot(la);
+    if (slot != kNoSlot) {
         // Ghost or partially valid line: refresh the data words.
-        line->valid = fullMask();
-        line->lru = ++lruClock;
+        lines[slot].valid = fullMask();
+        lines[slot].lru = ++lruClock;
         touchL1(la);
         ++cacheStats.fills;
         out.ok = true;
         return out;
     }
 
-    const std::uint32_t set = setOf(la);
-    Line *base = &lines[static_cast<std::size_t>(set) * config.l2Assoc];
-    Line *victim = nullptr;
-    for (std::uint32_t w = 0; w < config.l2Assoc; ++w) {
-        Line &cand = base[w];
-        if (!cand.allocated) {
-            victim = &cand;
+    const std::uint32_t base = setOf(la) * config.l2Assoc;
+    std::uint32_t victim = kNoSlot;
+    for (std::uint32_t s = base; s < base + config.l2Assoc; ++s) {
+        if (keyAt(s) == 0) {
+            victim = s;
             break;
         }
+        const Line &cand = lines[s];
         if (cand.sr != 0 || cand.sm != 0)
             continue; // speculative lines are not evictable
-        if (!victim || cand.lru < victim->lru)
-            victim = &cand;
+        if (victim == kNoSlot || cand.lru < lines[victim].lru)
+            victim = s;
     }
 
-    if (!victim) {
+    if (victim == kNoSlot) {
         ++cacheStats.overflows;
         out.overflow = true;
         return out;
     }
 
-    if (victim->allocated) {
-        if (victim->dirty) {
+    if (keyAt(victim) != 0) {
+        if (lines[victim].dirty) {
             out.evictedDirty = true;
-            out.evictedAddr = victim->tag;
-            out.evictedTid = victim->commitTid;
+            out.evictedAddr = tagAt(victim);
+            out.evictedTid = lines[victim].commitTid;
             ++cacheStats.dirtyEvictions;
         }
-        dropL1(victim->tag);
+        dropL1(tagAt(victim));
     }
 
-    *victim = Line{};
-    victim->tag = la;
-    victim->allocated = true;
-    victim->valid = fullMask();
-    victim->lru = ++lruClock;
+    lines[victim] = Line{};
+    keyAt(victim) = keyOf(la);
+    lines[victim].valid = fullMask();
+    lines[victim].lru = ++lruClock;
     touchL1(la);
     ++cacheStats.fills;
     out.ok = true;
@@ -281,9 +262,8 @@ SpecCache::writeSet() const
 {
     std::vector<WriteSetLine> ws;
     for (std::uint32_t slot : specSlots) {
-        const Line &line = lines[slot];
-        if (line.allocated && line.sm != 0)
-            ws.push_back(WriteSetLine{line.tag, line.sm});
+        if (keyAt(slot) != 0 && lines[slot].sm != 0)
+            ws.push_back(WriteSetLine{tagAt(slot), lines[slot].sm});
     }
     return ws;
 }
@@ -293,8 +273,7 @@ SpecCache::readSetLines() const
 {
     std::uint32_t n = 0;
     for (std::uint32_t slot : specSlots) {
-        const Line &line = lines[slot];
-        if (line.allocated && line.sr != 0)
+        if (keyAt(slot) != 0 && lines[slot].sr != 0)
             ++n;
     }
     return n;
@@ -305,20 +284,18 @@ SpecCache::commitSpec(Tid tid, bool make_dirty)
 {
     for (std::uint32_t slot : specSlots) {
         Line &line = lines[slot];
-        if (!line.allocated) {
-            line.inSpecList = false;
+        line.inSpecList = false;
+        if (keyAt(slot) == 0)
             continue;
-        }
         if (line.sm != 0 && make_dirty) {
             line.dirty = true; // now committed data; we are the owner
             line.commitTid = tid;
         }
         line.sr = 0;
         line.sm = 0;
-        line.inSpecList = false;
         // Ghost lines (no valid words) with no remaining role free up.
         if (line.valid == 0 && !line.dirty)
-            line.allocated = false;
+            freeSlot(slot);
     }
     specSlots.clear();
 }
@@ -328,18 +305,16 @@ SpecCache::abortSpec()
 {
     for (std::uint32_t slot : specSlots) {
         Line &line = lines[slot];
-        if (!line.allocated) {
-            line.inSpecList = false;
+        line.inSpecList = false;
+        if (keyAt(slot) == 0)
             continue;
-        }
         // Speculatively written words never became real data.
         line.valid &= ~line.sm;
         line.sr = 0;
         line.sm = 0;
-        line.inSpecList = false;
         if (line.valid == 0 && !line.dirty) {
-            dropL1(line.tag);
-            line.allocated = false;
+            dropL1(tagAt(slot));
+            freeSlot(slot);
         }
     }
     specSlots.clear();
@@ -349,22 +324,24 @@ SpecCache::InvOutcome
 SpecCache::invalidate(Addr lineAddr, WordMask mask)
 {
     InvOutcome out;
-    Line *line = find(lineAlign(lineAddr));
-    if (!line)
+    const Addr la = lineAlign(lineAddr);
+    const std::uint32_t slot = findSlot(la);
+    if (slot == kNoSlot)
         return out;
+    Line &line = lines[slot];
 
-    out.srOverlap = (line->sr & mask) != 0;
-    out.smOverlap = (line->sm & mask) != 0;
+    out.srOverlap = (line.sr & mask) != 0;
+    out.smOverlap = (line.sm & mask) != 0;
 
     // Drop the committed data, but keep (a) speculatively written words
     // - they are this transaction's own pending values - and (b) the
     // SR/SM bits as a ghost so later invalidations still see the read
     // set.
-    line->valid &= line->sm;
-    line->dirty = false;
-    dropL1(line->tag);
-    if (line->sr == 0 && line->sm == 0) {
-        line->allocated = false;
+    line.valid &= line.sm;
+    line.dirty = false;
+    dropL1(la);
+    if (line.sr == 0 && line.sm == 0) {
+        freeSlot(slot);
     } else {
         ++cacheStats.ghostsCreated;
     }
@@ -374,14 +351,16 @@ SpecCache::invalidate(Addr lineAddr, WordMask mask)
 bool
 SpecCache::flushLine(Addr lineAddr)
 {
-    Line *line = find(lineAlign(lineAddr));
-    if (!line || !line->dirty)
+    const Addr la = lineAlign(lineAddr);
+    const std::uint32_t slot = findSlot(la);
+    if (slot == kNoSlot || !lines[slot].dirty)
         return false;
-    line->dirty = false;
-    line->valid &= line->sm;
-    dropL1(line->tag);
-    if (line->sr == 0 && line->sm == 0) {
-        line->allocated = false;
+    Line &line = lines[slot];
+    line.dirty = false;
+    line.valid &= line.sm;
+    dropL1(la);
+    if (line.sr == 0 && line.sm == 0) {
+        freeSlot(slot);
     } else {
         ++cacheStats.ghostsCreated;
     }
@@ -398,7 +377,7 @@ SpecCache::isDirty(Addr lineAddr) const
 bool
 SpecCache::present(Addr lineAddr) const
 {
-    return find(lineAlign(lineAddr)) != nullptr;
+    return findSlot(lineAlign(lineAddr)) != kNoSlot;
 }
 
 WordMask

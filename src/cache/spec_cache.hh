@@ -236,16 +236,28 @@ class SpecCache
     const CacheConfig &cfg() const { return config; }
 
   private:
+    /**
+     * Per-way protocol state. The tag and the allocated flag live in
+     * the packed key array instead (see keyBlocks), which keeps a way
+     * at 48 bytes and lets find() scan keys alone.
+     */
     struct Line {
-        Addr tag = 0;            ///< line-aligned address
-        bool allocated = false;
-        bool dirty = false;      ///< committed modified (owner until WB)
         Tid commitTid = kInvalidTid; ///< TID that committed the data
         WordMask valid = 0;
         WordMask sr = 0;
         WordMask sm = 0;
         std::uint64_t lru = 0;
+        bool dirty = false;      ///< committed modified (owner until WB)
         bool inSpecList = false;
+    };
+    static_assert(sizeof(Line) == 48, "one L2 way's state is 48 bytes");
+
+    /** Eight packed way keys on one 64-byte host line, so an 8-way L2
+     *  set is exactly one line. A key is lineAddr | 1 for an allocated
+     *  way (line addresses are 4-byte aligned, so bit 0 is spare) and
+     *  0 for a free one. */
+    struct alignas(64) KeyBlock {
+        Addr key[8];
     };
 
     struct L1Tag {
@@ -254,13 +266,33 @@ class SpecCache
         std::uint64_t lru = 0;
     };
 
+    static constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+    /** The key of @p slot (set * l2Assoc + way). */
+    Addr &
+    keyAt(std::uint32_t slot)
+    {
+        return keyBlocks[slot / 8].key[slot % 8];
+    }
+    Addr
+    keyAt(std::uint32_t slot) const
+    {
+        return keyBlocks[slot / 8].key[slot % 8];
+    }
+    static Addr keyOf(Addr lineAddr) { return lineAddr | 1; }
+    Addr tagAt(std::uint32_t slot) const { return keyAt(slot) & ~Addr(1); }
+
     std::uint32_t setOf(Addr lineAddr) const;
-    Line *find(Addr lineAddr);
+    /** Slot holding @p lineAddr, or kNoSlot. */
+    std::uint32_t findSlot(Addr lineAddr) const;
     const Line *find(Addr lineAddr) const;
-    void touchL1(Addr lineAddr);
-    bool l1Hit(Addr lineAddr) const;
+    /** Mark @p lineAddr most recently used in the L1, allocating it
+     *  over the LRU way on a miss. @return true on an L1 hit. */
+    bool touchL1(Addr lineAddr);
     void dropL1(Addr lineAddr);
-    void noteSpec(Line &line, std::uint32_t set, std::uint32_t way);
+    void noteSpec(std::uint32_t slot);
+    /** Free @p slot's way (its Line state is reset on refill). */
+    void freeSlot(std::uint32_t slot) { keyAt(slot) = 0; }
 
     CacheConfig config;
     std::uint32_t lineWords;
@@ -268,6 +300,8 @@ class SpecCache
     std::uint32_t l1Sets;
     /// l2Sets x l2Assoc
     std::vector<Line, ArenaAllocator<Line>> lines;
+    /// l2Sets x l2Assoc keys, rounded up to whole blocks
+    std::vector<KeyBlock, ArenaAllocator<KeyBlock>> keyBlocks;
     /// l1Sets x l1Assoc
     std::vector<L1Tag, ArenaAllocator<L1Tag>> l1Tags;
     /** (set, way) slots holding speculative state, for O(txn) cleanup. */

@@ -5,10 +5,9 @@
 
 namespace tcc {
 
-SerialChecker::Result
-SerialChecker::verify() const
+std::vector<const SerialChecker::Record *>
+SerialChecker::tidOrder() const
 {
-    Result res;
     std::vector<const Record *> order;
     order.reserve(log.size());
     for (const auto &r : log)
@@ -17,6 +16,14 @@ SerialChecker::verify() const
               [](const Record *a, const Record *b) {
                   return a->tid < b->tid;
               });
+    return order;
+}
+
+SerialChecker::Result
+SerialChecker::verify() const
+{
+    Result res;
+    const std::vector<const Record *> order = tidOrder();
 
     // TIDs must be unique (the vendor sequence is gap-free but some
     // TIDs are consumed by aborted attempts, so gaps are fine here).
@@ -32,7 +39,7 @@ SerialChecker::verify() const
         }
     }
 
-    std::unordered_map<Addr, std::uint64_t> model = initial;
+    FlatMap<Addr, std::uint64_t> model = initial;
     for (const Record *r : order) {
         for (const auto &[addr, seen] : r->reads) {
             auto it = model.find(addr);
@@ -63,19 +70,15 @@ SerialChecker::verify() const
 std::unordered_map<Addr, std::uint64_t>
 SerialChecker::replayFinalState() const
 {
-    std::vector<const Record *> order;
-    order.reserve(log.size());
-    for (const auto &r : log)
-        order.push_back(&r);
-    std::sort(order.begin(), order.end(),
-              [](const Record *a, const Record *b) {
-                  return a->tid < b->tid;
-              });
-    std::unordered_map<Addr, std::uint64_t> model = initial;
-    for (const Record *r : order)
+    FlatMap<Addr, std::uint64_t> model = initial;
+    for (const Record *r : tidOrder())
         for (const auto &[addr, value] : r->writes)
             model[addr] = value;
-    return model;
+    std::unordered_map<Addr, std::uint64_t> out;
+    out.reserve(model.size());
+    for (const auto &[addr, value] : model)
+        out.emplace(addr, value);
+    return out;
 }
 
 } // namespace tcc

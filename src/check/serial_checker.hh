@@ -20,6 +20,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/flat_map.hh"
 #include "common/types.hh"
 
 namespace tcc {
@@ -67,8 +68,11 @@ class SerialChecker
         std::vector<std::pair<Addr, std::uint64_t>> writes;
     };
 
+    /** The recorded commits sorted by TID (serial replay order). */
+    std::vector<const Record *> tidOrder() const;
+
     std::vector<Record> log;
-    std::unordered_map<Addr, std::uint64_t> initial;
+    FlatMap<Addr, std::uint64_t> initial;
 };
 
 } // namespace tcc

@@ -219,9 +219,12 @@ class Arena
  * Standard-allocator adapter over Arena. Holds a plain pointer; a
  * nullptr arena falls back to the global heap, so default-constructed
  * containers behave exactly as before. deallocate() on arena memory is
- * a no-op (the arena frees wholesale), which is the right trade for
- * the simulator: per-run containers reserve() once and are reused via
- * clear(), so grow-and-abandon churn is bounded.
+ * a no-op (the arena frees wholesale), so a container that is dropped
+ * and rebuilt leaks its buffer each time. Per-event and
+ * per-transaction paths therefore build no arena-backed temporaries:
+ * scratch containers are members reused through clear() or a swap,
+ * and run-time arena growth stays bounded by the workload's footprint
+ * (DESIGN.md section 8; tests/test_arena.cc checks it).
  */
 template <typename T>
 class ArenaAllocator

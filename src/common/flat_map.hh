@@ -40,6 +40,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -125,17 +126,21 @@ class FlatMap
             rehash(want);
     }
 
-    /** Remove every entry; keeps the allocated table. */
+    /** Remove every entry; keeps the allocated table. Costs one
+     *  metadata byte per slot: slots of trivially destructible types
+     *  are left as they are (insertion overwrites them). */
     void
     clear()
     {
         if (used == 0)
             return;
         std::fill(meta.begin(), meta.end(), std::uint8_t{0});
-        // Reset slots so element destructors of heavy V (vectors) run
+        // Reset slots of heavy V (vectors) so their destructors run
         // now rather than holding memory until overwrite.
-        for (auto &s : slots)
-            s = Slot{};
+        if constexpr (!std::is_trivially_destructible_v<Slot>) {
+            for (auto &s : slots)
+                s = Slot{};
+        }
         used = 0;
     }
 

@@ -14,6 +14,7 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
       config(cfg), arena(arena_), skipWindow(arena_), entries(arena_),
       deferredProbes(ArenaAllocator<Message>(arena_)),
       stalledLoads(ArenaAllocator<Message>(arena_)),
+      redispatchLoads(ArenaAllocator<Message>(arena_)),
       mcastBuf(ArenaAllocator<NodeId>(arena_)), lruIndex(arena_),
       msgPool(arena_)
 {
@@ -296,9 +297,9 @@ Directory::advance()
     traceEmit(tracer, TraceCat::Dir, TraceEventKind::DirNstidAdvance,
               nodeId, kInvalidTid, nowServing, moved);
 
-    // Release deferred probes whose condition now holds.
-    MsgVec still(deferredProbes.get_allocator());
-    still.reserve(deferredProbes.size());
+    // Release deferred probes whose condition now holds, compacting
+    // the still-deferred ones in place (arrival order kept).
+    std::size_t kept = 0;
     for (const Message &p : deferredProbes) {
         // A write probe is normally released when its TID is served
         // (nowServing == tid). nowServing > tid happens only when the
@@ -314,16 +315,17 @@ Directory::advance()
             reply.wantWrite = p.wantWrite;
             post(reply);
         } else {
-            still.push_back(p);
+            deferredProbes[kept++] = p;
         }
     }
-    deferredProbes.swap(still);
+    deferredProbes.resize(kept);
 
-    // Re-dispatch loads that were stalled on marked lines.
-    MsgVec loads(stalledLoads.get_allocator());
-    loads.swap(stalledLoads);
-    for (const Message &m : loads)
+    // Re-dispatch loads that were stalled on marked lines; one that
+    // hits a still-marked line stalls again into stalledLoads.
+    redispatchLoads.swap(stalledLoads);
+    for (const Message &m : redispatchLoads)
         handleLoad(m);
+    redispatchLoads.clear();
 }
 
 void

@@ -245,6 +245,10 @@ class Directory
     MsgVec deferredProbes;
     /** Loads stalled on Marked lines. */
     MsgVec stalledLoads;
+    /** advance()'s scratch: the stalled loads being re-dispatched.
+     *  A member swapped with stalledLoads, so an NSTID advance makes
+     *  no arena allocation once both have reached their high water. */
+    MsgVec redispatchLoads;
 
     /** Scratch destination list for invalidation multicasts. */
     std::vector<NodeId, ArenaAllocator<NodeId>> mcastBuf;

@@ -235,8 +235,10 @@ makeSynthetic(const AppProfile &prof, std::uint64_t seed,
             {"hot", SyntheticSource::hotBase(),
              static_cast<std::uint64_t>(prof.hotWords) * 4, 0, true});
     }
-    b.footprint.expectedTxns =
-        static_cast<std::uint64_t>(prof.phases) * prof.txnsPerPhase;
+    for (NodeId p = 0; p < num_procs; ++p)
+        b.footprint.expectedTxns +=
+            static_cast<std::uint64_t>(prof.phases) *
+            SyntheticSource::txnsPerPhaseOf(prof, p, num_procs);
     b.footprint.dataWords =
         static_cast<std::uint64_t>(num_procs) *
             (prof.privateWords + prof.sharedWords) +

@@ -258,12 +258,21 @@ SyntheticSource::SyntheticSource(const AppProfile &profile,
                                  std::uint32_t num_procs)
     : prof(profile),
       rng(seed * 0x9e3779b97f4a7c15ull + proc + 1),
-      nodeId(proc), numProcs(num_procs)
+      nodeId(proc), numProcs(num_procs),
+      myTxnsPerPhase(txnsPerPhaseOf(profile, proc, num_procs))
+{}
+
+std::uint32_t
+SyntheticSource::txnsPerPhaseOf(const AppProfile &profile, NodeId proc,
+                                std::uint32_t num_procs)
 {
-    const std::uint32_t base = prof.txnsPerPhase / num_procs;
+    const std::uint32_t base = profile.txnsPerPhase / num_procs;
     const std::uint32_t extra =
-        proc < (prof.txnsPerPhase % num_procs) ? 1 : 0;
-    myTxnsPerPhase = std::max<std::uint32_t>(base + extra, 0);
+        proc < (profile.txnsPerPhase % num_procs) ? 1 : 0;
+    // A processor whose share rounds to zero still runs one
+    // transaction per phase: the quota is checked only after a
+    // transaction is emitted.
+    return std::max<std::uint32_t>(base + extra, 1);
 }
 
 void

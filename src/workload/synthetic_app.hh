@@ -115,6 +115,12 @@ class SyntheticSource : public TransactionSource
 
     std::uint64_t generated() const { return txnsGenerated; }
 
+    /** Transactions processor @p proc emits per phase: its share of
+     *  the profile's txnsPerPhase, at least one. */
+    static std::uint32_t txnsPerPhaseOf(const AppProfile &profile,
+                                        NodeId proc,
+                                        std::uint32_t num_procs);
+
   private:
     void emitReadRun(std::vector<TxOp> &ops, Addr base,
                      std::uint32_t pool_words, std::uint32_t words);

@@ -3,7 +3,9 @@
  * Unit tests for the per-System arena (common/arena.hh): alignment
  * guarantees, chunk growth, reset-and-reuse, the stats surface, and
  * the ArenaAllocator adapter (including its nullptr fallback and the
- * propagation traits the container conversions rely on).
+ * propagation traits the container conversions rely on), and the
+ * run-length bound: a System's arena grows with the workload's
+ * footprint, never with the number of simulated events.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +16,8 @@
 
 #include "common/arena.hh"
 #include "common/flat_map.hh"
+#include "core/system.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -163,6 +167,45 @@ TEST(ArenaAllocator, FlatMapOnArenaMatchesDefault)
         EXPECT_EQ(backed[k * 977], k);
     }
     EXPECT_GT(a.stats().liveBytes, 0u);
+}
+
+/** Arena bytes a contended ds_map run adds between attach() and the
+ *  end of run(). */
+std::size_t
+runArenaGrowth(std::uint32_t txns)
+{
+    constexpr std::uint32_t procs = 16;
+    SystemConfig cfg;
+    cfg.numProcs = procs;
+    System sys(cfg);
+    WorkloadParams wl;
+    wl.set("theta", "0.99")
+        .set("mix", "write_heavy")
+        .set("txns", std::to_string(txns));
+    const WorkloadBundle b = makeWorkload("ds_map", wl, 1, procs);
+    b.attach(sys);
+    const std::size_t attached = sys.arenaStats().liveBytes;
+    const RunResult res = sys.run();
+    EXPECT_TRUE(res.completed);
+    EXPECT_TRUE(res.quiesced);
+    EXPECT_EQ(res.committedTxns, txns);
+    return sys.arenaStats().liveBytes - attached;
+}
+
+TEST(ArenaRunLength, GrowthIsBoundedByFootprintNotRunLength)
+{
+    // The arena never frees, so a per-event path that allocates from
+    // it (a fresh container per NSTID advance, say) leaks in
+    // proportion to simulated time. Quadrupling the run of the same
+    // hot-key workload must leave the run-time growth nearly flat:
+    // only the footprint (lines and keys touched) may add bytes.
+    const std::size_t short_run = runArenaGrowth(256);
+    const std::size_t long_run = runArenaGrowth(1024);
+    const std::size_t diff = long_run > short_run ? long_run - short_run
+                                                  : short_run - long_run;
+    EXPECT_LT(diff, std::size_t{1} << 20)
+        << "run-time arena growth " << short_run << " B at 256 txns vs "
+        << long_run << " B at 1024 txns";
 }
 
 } // namespace

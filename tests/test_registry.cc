@@ -98,6 +98,30 @@ TEST(Registry, OverridesReachTheWorkload)
     EXPECT_EQ(makeWorkload("radix", {}, 1, 4).layout(), nullptr);
 }
 
+TEST(Registry, ZeroQuotaProcessorsCountInExpectedTxns)
+{
+    // swim's 192 transactions per phase leave 64 of 256 processors a
+    // zero share; each still runs one transaction per phase.
+    WorkloadParams swim;
+    swim.set("phases", "9");
+    EXPECT_EQ(makeWorkload("swim", swim, 1, 256).footprint.expectedTxns,
+              2304u);
+
+    // And a run commits exactly what the footprint expects.
+    constexpr std::uint32_t procs = 8;
+    WorkloadParams wl;
+    wl.set("phases", "2").set("txns_per_phase", "4");
+    const WorkloadBundle b = makeWorkload("radix", wl, 1, procs);
+    EXPECT_EQ(b.footprint.expectedTxns, 16u);
+    SystemConfig cfg;
+    cfg.numProcs = procs;
+    System sys(cfg);
+    b.attach(sys);
+    const RunResult res = sys.run();
+    ASSERT_TRUE(res.completed);
+    EXPECT_EQ(res.committedTxns, b.footprint.expectedTxns);
+}
+
 TEST(Registry, MatchesLegacySetupAppExactly)
 {
     // The registry path must reproduce the legacy construction
