@@ -2,9 +2,9 @@
  * @file
  * Simulator micro-performance benchmarks (google-benchmark). These do
  * not reproduce paper results; they track the speed of the simulator's
- * hot paths (event queue, cache accesses, mesh routing, end-to-end
- * simulated-cycles-per-second) so regressions are visible when the
- * model is extended.
+ * hot paths (event queue, cache accesses, mesh routing, System
+ * construction, end-to-end simulated-cycles-per-second) so regressions
+ * are visible when the model is extended.
  */
 
 #include <benchmark/benchmark.h>
@@ -68,6 +68,20 @@ BM_MeshSend(benchmark::State &state)
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MeshSend);
+
+void
+BM_SystemConstruct(benchmark::State &state)
+{
+    // The fixed cost every run pays before its first event: a default
+    // 32-processor machine built and torn down.
+    SystemConfig cfg;
+    cfg.numProcs = 32;
+    for (auto _ : state) {
+        System sys(cfg);
+        benchmark::DoNotOptimize(sys.numProcs());
+    }
+}
+BENCHMARK(BM_SystemConstruct)->Unit(benchmark::kMicrosecond);
 
 void
 BM_EndToEndSimulation(benchmark::State &state)

@@ -6,7 +6,9 @@
  * when exploring a configuration without writing code.
  *
  * Usage:
- *   tccsim [options]              (--flag=V and --flag V both work)
+ *   tccsim [options]              (--flag=V and --flag V both work;
+ *                                  a numeric N, D or K must be a plain
+ *                                  unsigned decimal that fits the knob)
  *     --app NAME        workload name from the registry: Table-3 apps
  *                       and ds_* data-structure workloads (default
  *                       barnes; "list" prints the available names)
@@ -60,10 +62,12 @@
  *                       --contention was not given)
  */
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <string>
 
 #include "common/log.hh"
@@ -97,6 +101,25 @@ usage(const char *argv0)
                  "[--contention-dot FILE]\n",
                  argv0);
     std::exit(1);
+}
+
+/** Parse the value of numeric flag @p flag: the whole token must be a
+ *  decimal unsigned that fits in T. Exits with a message otherwise. */
+template <typename T>
+T
+parseUnsigned(const std::string &val, const std::string &flag,
+              const char *argv0)
+{
+    std::uint64_t v = 0;
+    const char *end = val.data() + val.size();
+    const auto [ptr, ec] = std::from_chars(val.data(), end, v);
+    if (val.empty() || ec != std::errc() || ptr != end ||
+        v > std::numeric_limits<T>::max()) {
+        std::fprintf(stderr, "%s: invalid value '%s' for %s\n", argv0,
+                     val.c_str(), flag.c_str());
+        std::exit(1);
+    }
+    return static_cast<T>(v);
 }
 
 /** Apply one --network value; exits on an unknown model/preset. */
@@ -208,14 +231,16 @@ main(int argc, char **argv)
                 usage(argv[0]);
             return argv[++i];
         };
+        auto number = [&]<typename T>(T &out) {
+            out = parseUnsigned<T>(next(), arg, argv[0]);
+        };
         if (arg == "--app") {
             app_name = next();
         } else if (arg == "--wl") {
             for (auto &kv : WorkloadParams::parse(next()).overrides)
                 wl.overrides.push_back(std::move(kv));
         } else if (arg == "--procs") {
-            cfg.numProcs =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            number(cfg.numProcs);
         } else if (arg == "--network") {
             parseNetwork(next(), cfg.network, argv[0]);
         } else if (arg == "--chaos") {
@@ -223,8 +248,7 @@ main(int argc, char **argv)
         } else if (arg == "--multicast") {
             parseMulticast(next(), cfg.network.multicast, argv[0]);
         } else if (arg == "--hop") {
-            cfg.network.mesh.hopLatency =
-                static_cast<Tick>(std::atoi(next().c_str()));
+            number(cfg.network.mesh.hopLatency);
         } else if (arg == "--line-gran") {
             cfg.cache.granularity = Granularity::Line;
         } else if (arg == "--interleave") {
@@ -233,17 +257,13 @@ main(int argc, char **argv)
             // Legacy spelling of --network=ideal.
             cfg.network.model = NetworkConfig::Model::Ideal;
         } else if (arg == "--jitter") {
-            cfg.network.mesh.reorderJitter =
-                static_cast<Tick>(std::atoi(next().c_str()));
+            number(cfg.network.mesh.reorderJitter);
         } else if (arg == "--aging") {
-            cfg.processor.agingThreshold =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            number(cfg.processor.agingThreshold);
         } else if (arg == "--domains") {
-            cfg.pdes.domains =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            number(cfg.pdes.domains);
         } else if (arg == "--jobs") {
-            cfg.pdes.jobs =
-                static_cast<std::uint32_t>(std::atoi(next().c_str()));
+            number(cfg.pdes.jobs);
         } else if (arg == "--pdes-sync") {
             const std::string val = next();
             if (val == "fixed") {
@@ -256,8 +276,7 @@ main(int argc, char **argv)
                 usage(argv[0]);
             }
         } else if (arg == "--seed") {
-            seed = static_cast<std::uint64_t>(
-                std::atoll(next().c_str()));
+            number(seed);
         } else if (arg == "--check") {
             // Bare --check arms the serial checker (legacy). A value -
             // --check=LIST, or the next argument when it is not a
@@ -277,13 +296,11 @@ main(int argc, char **argv)
         } else if (arg == "--stats-json") {
             stats_json_path = next();
         } else if (arg == "--metrics-epoch") {
-            cfg.trace.metricsEpoch =
-                static_cast<Tick>(std::atoll(next().c_str()));
+            number(cfg.trace.metricsEpoch);
         } else if (arg == "--metrics-out") {
             metrics_out_path = next();
         } else if (arg == "--contention") {
-            cfg.trace.contentionTopK =
-                static_cast<std::size_t>(std::atoi(next().c_str()));
+            number(cfg.trace.contentionTopK);
         } else if (arg == "--contention-dot") {
             contention_dot_path = next();
         } else {

@@ -1,5 +1,8 @@
 #include "cache/spec_cache.hh"
 
+#include <bit>
+#include <new>
+
 namespace tcc {
 
 namespace {
@@ -13,14 +16,15 @@ isPow2(std::uint32_t v)
 } // namespace
 
 SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
-    : config(cfg), lines(ArenaAllocator<Line>(arena)),
-      keyBlocks(ArenaAllocator<KeyBlock>(arena)),
+    : config(cfg), keyBlocks(ArenaAllocator<KeyBlock>(arena)),
+      poolAlloc(arena), setBlock(ArenaAllocator<std::uint32_t>(arena)),
       l1Tags(ArenaAllocator<L1Tag>(arena)),
       specSlots(ArenaAllocator<std::uint32_t>(arena))
 {
     if (!isPow2(cfg.lineBytes) || cfg.lineBytes < 4)
         fatal("line size must be a power of two >= 4");
     lineWords = cfg.lineBytes / 4;
+    lineShift = std::countr_zero(cfg.lineBytes);
     if (lineWords > 64)
         fatal("lines longer than 64 words are not supported");
 
@@ -30,8 +34,10 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
     l2Sets = l2_lines / cfg.l2Assoc;
     if (!isPow2(l2Sets))
         fatal("L2 set count must be a power of two");
+    assocPow2 = isPow2(cfg.l2Assoc);
+    if (assocPow2)
+        assocShift = std::countr_zero(cfg.l2Assoc);
     const std::size_t ways = static_cast<std::size_t>(l2Sets) * cfg.l2Assoc;
-    lines.assign(ways, Line{});
     keyBlocks.assign((ways + 7) / 8, KeyBlock{});
 
     const std::uint32_t l1_lines = cfg.l1Bytes / cfg.lineBytes;
@@ -42,6 +48,17 @@ SpecCache::SpecCache(const CacheConfig &cfg, Arena *arena)
         fatal("L1 set count must be a power of two");
     l1Tags.assign(static_cast<std::size_t>(l1Sets) * cfg.l1Assoc,
                   L1Tag{});
+
+    // Raw storage only: fill() builds each Line before its first read.
+    linePool = poolAlloc.allocate(ways);
+    setBlock.assign(l2Sets, 0);
+}
+
+SpecCache::~SpecCache()
+{
+    // Lines are trivially destructible: releasing the storage is all.
+    poolAlloc.deallocate(linePool,
+                         static_cast<std::size_t>(l2Sets) * config.l2Assoc);
 }
 
 WordMask
@@ -58,7 +75,7 @@ std::uint32_t
 SpecCache::setOf(Addr lineAddr) const
 {
     return static_cast<std::uint32_t>(
-        (lineAddr / config.lineBytes) & (l2Sets - 1));
+        (lineAddr >> lineShift) & (l2Sets - 1));
 }
 
 std::uint32_t
@@ -77,14 +94,14 @@ const SpecCache::Line *
 SpecCache::find(Addr lineAddr) const
 {
     const std::uint32_t slot = findSlot(lineAddr);
-    return slot == kNoSlot ? nullptr : &lines[slot];
+    return slot == kNoSlot ? nullptr : &lineAt(slot);
 }
 
 bool
 SpecCache::touchL1(Addr lineAddr)
 {
     const std::uint32_t set = static_cast<std::uint32_t>(
-        (lineAddr / config.lineBytes) & (l1Sets - 1));
+        (lineAddr >> lineShift) & (l1Sets - 1));
     L1Tag *base = &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
     std::uint32_t victim = 0;
     for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
@@ -107,7 +124,7 @@ void
 SpecCache::dropL1(Addr lineAddr)
 {
     const std::uint32_t set = static_cast<std::uint32_t>(
-        (lineAddr / config.lineBytes) & (l1Sets - 1));
+        (lineAddr >> lineShift) & (l1Sets - 1));
     L1Tag *base = &l1Tags[static_cast<std::size_t>(set) * config.l1Assoc];
     for (std::uint32_t w = 0; w < config.l1Assoc; ++w) {
         if (base[w].valid && base[w].tag == lineAddr)
@@ -116,9 +133,8 @@ SpecCache::dropL1(Addr lineAddr)
 }
 
 void
-SpecCache::noteSpec(std::uint32_t slot)
+SpecCache::noteSpec(Line &line, std::uint32_t slot)
 {
-    Line &line = lines[slot];
     if (!line.inSpecList) {
         line.inSpecList = true;
         specSlots.push_back(slot);
@@ -133,11 +149,11 @@ SpecCache::load(Addr addr)
     const WordMask m = maskFor(addr);
 
     const std::uint32_t slot = findSlot(la);
-    if (slot == kNoSlot || (lines[slot].valid & m) != m) {
+    if (slot == kNoSlot || (lineAt(slot).valid & m) != m) {
         ++cacheStats.misses;
         return LoadOutcome{false, 0};
     }
-    Line *line = &lines[slot];
+    Line *line = &lineAt(slot);
 
     // Reading a word this transaction already wrote is not a
     // dependence on other transactions; under word granularity we can
@@ -149,7 +165,7 @@ SpecCache::load(Addr addr)
             line->sr |= (m & ~line->sm);
         else
             line->sr |= m;
-        noteSpec(slot);
+        noteSpec(*line, slot);
     }
     line->lru = ++lruClock;
 
@@ -173,7 +189,7 @@ SpecCache::store(Addr addr)
         ++cacheStats.misses;
         return StoreOutcome{false, false, 0};
     }
-    Line *line = &lines[slot];
+    Line *line = &lineAt(slot);
 
     StoreOutcome out;
     out.hit = true;
@@ -188,7 +204,7 @@ SpecCache::store(Addr addr)
     line->sm |= m;
     line->valid |= m;
     line->lru = ++lruClock;
-    noteSpec(slot);
+    noteSpec(*line, slot);
 
     if (touchL1(la)) {
         ++cacheStats.l1Hits;
@@ -209,25 +225,27 @@ SpecCache::fill(Addr addr)
     const std::uint32_t slot = findSlot(la);
     if (slot != kNoSlot) {
         // Ghost or partially valid line: refresh the data words.
-        lines[slot].valid = fullMask();
-        lines[slot].lru = ++lruClock;
+        Line &line = lineAt(slot);
+        line.valid = fullMask();
+        line.lru = ++lruClock;
         touchL1(la);
         ++cacheStats.fills;
         out.ok = true;
         return out;
     }
 
-    const std::uint32_t base = setOf(la) * config.l2Assoc;
+    const std::uint32_t set = setOf(la);
+    const std::uint32_t base = set * config.l2Assoc;
     std::uint32_t victim = kNoSlot;
     for (std::uint32_t s = base; s < base + config.l2Assoc; ++s) {
         if (keyAt(s) == 0) {
             victim = s;
             break;
         }
-        const Line &cand = lines[s];
+        const Line &cand = lineAt(s);
         if (cand.sr != 0 || cand.sm != 0)
             continue; // speculative lines are not evictable
-        if (victim == kNoSlot || cand.lru < lines[victim].lru)
+        if (victim == kNoSlot || cand.lru < lineAt(victim).lru)
             victim = s;
     }
 
@@ -238,19 +256,21 @@ SpecCache::fill(Addr addr)
     }
 
     if (keyAt(victim) != 0) {
-        if (lines[victim].dirty) {
+        if (lineAt(victim).dirty) {
             out.evictedDirty = true;
             out.evictedAddr = tagAt(victim);
-            out.evictedTid = lines[victim].commitTid;
+            out.evictedTid = lineAt(victim).commitTid;
             ++cacheStats.dirtyEvictions;
         }
         dropL1(tagAt(victim));
     }
 
-    lines[victim] = Line{};
+    if (setBlock[set] == 0)
+        setBlock[set] = ++blocksUsed; // first fill: hand out a block
+    Line *line = ::new (&linePool[poolIndex(victim)]) Line{};
     keyAt(victim) = keyOf(la);
-    lines[victim].valid = fullMask();
-    lines[victim].lru = ++lruClock;
+    line->valid = fullMask();
+    line->lru = ++lruClock;
     touchL1(la);
     ++cacheStats.fills;
     out.ok = true;
@@ -262,8 +282,8 @@ SpecCache::writeSet() const
 {
     std::vector<WriteSetLine> ws;
     for (std::uint32_t slot : specSlots) {
-        if (keyAt(slot) != 0 && lines[slot].sm != 0)
-            ws.push_back(WriteSetLine{tagAt(slot), lines[slot].sm});
+        if (keyAt(slot) != 0 && lineAt(slot).sm != 0)
+            ws.push_back(WriteSetLine{tagAt(slot), lineAt(slot).sm});
     }
     return ws;
 }
@@ -273,7 +293,7 @@ SpecCache::readSetLines() const
 {
     std::uint32_t n = 0;
     for (std::uint32_t slot : specSlots) {
-        if (keyAt(slot) != 0 && lines[slot].sr != 0)
+        if (keyAt(slot) != 0 && lineAt(slot).sr != 0)
             ++n;
     }
     return n;
@@ -283,7 +303,7 @@ void
 SpecCache::commitSpec(Tid tid, bool make_dirty)
 {
     for (std::uint32_t slot : specSlots) {
-        Line &line = lines[slot];
+        Line &line = lineAt(slot);
         line.inSpecList = false;
         if (keyAt(slot) == 0)
             continue;
@@ -304,7 +324,7 @@ void
 SpecCache::abortSpec()
 {
     for (std::uint32_t slot : specSlots) {
-        Line &line = lines[slot];
+        Line &line = lineAt(slot);
         line.inSpecList = false;
         if (keyAt(slot) == 0)
             continue;
@@ -328,7 +348,7 @@ SpecCache::invalidate(Addr lineAddr, WordMask mask)
     const std::uint32_t slot = findSlot(la);
     if (slot == kNoSlot)
         return out;
-    Line &line = lines[slot];
+    Line &line = lineAt(slot);
 
     out.srOverlap = (line.sr & mask) != 0;
     out.smOverlap = (line.sm & mask) != 0;
@@ -353,9 +373,9 @@ SpecCache::flushLine(Addr lineAddr)
 {
     const Addr la = lineAlign(lineAddr);
     const std::uint32_t slot = findSlot(la);
-    if (slot == kNoSlot || !lines[slot].dirty)
+    if (slot == kNoSlot || !lineAt(slot).dirty)
         return false;
-    Line &line = lines[slot];
+    Line &line = lineAt(slot);
     line.dirty = false;
     line.valid &= line.sm;
     dropL1(la);

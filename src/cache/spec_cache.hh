@@ -24,6 +24,7 @@
 #ifndef TCC_CACHE_SPEC_CACHE_HH
 #define TCC_CACHE_SPEC_CACHE_HH
 
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -61,6 +62,10 @@ class SpecCache
   public:
     /** @param arena backs the tag/state arrays (nullptr = heap). */
     explicit SpecCache(const CacheConfig &cfg, Arena *arena = nullptr);
+    ~SpecCache();
+
+    SpecCache(const SpecCache &) = delete;
+    SpecCache &operator=(const SpecCache &) = delete;
 
     /** Number of 4-byte words per line. */
     std::uint32_t wordsPerLine() const { return lineWords; }
@@ -235,11 +240,16 @@ class SpecCache
 
     const CacheConfig &cfg() const { return config; }
 
+    /** L2 sets that have been handed a Line block (diagnostics). A
+     *  set gets its block on its first fill and keeps it. */
+    std::uint32_t setsInUse() const { return blocksUsed; }
+
   private:
     /**
      * Per-way protocol state. The tag and the allocated flag live in
      * the packed key array instead (see keyBlocks), which keeps a way
-     * at 48 bytes and lets find() scan keys alone.
+     * at 48 bytes and lets find() scan keys alone. A Line is built by
+     * fill() (placement-new into the pool) before it is ever read.
      */
     struct Line {
         Tid commitTid = kInvalidTid; ///< TID that committed the data
@@ -282,6 +292,29 @@ class SpecCache
     static Addr keyOf(Addr lineAddr) { return lineAddr | 1; }
     Addr tagAt(std::uint32_t slot) const { return keyAt(slot) & ~Addr(1); }
 
+    /** Pool index of @p slot's Line: the same way of its set's block.
+     *  The set must have a block (any slot with a key has one). */
+    std::size_t
+    poolIndex(std::uint32_t slot) const
+    {
+        if (assocPow2) {
+            const std::uint32_t set = slot >> assocShift;
+            return (static_cast<std::size_t>(setBlock[set] - 1)
+                    << assocShift) |
+                   (slot & (config.l2Assoc - 1));
+        }
+        const std::uint32_t set = slot / config.l2Assoc;
+        return static_cast<std::size_t>(setBlock[set] - 1) *
+                   config.l2Assoc +
+               (slot - set * config.l2Assoc);
+    }
+    Line &lineAt(std::uint32_t slot) { return linePool[poolIndex(slot)]; }
+    const Line &
+    lineAt(std::uint32_t slot) const
+    {
+        return linePool[poolIndex(slot)];
+    }
+
     std::uint32_t setOf(Addr lineAddr) const;
     /** Slot holding @p lineAddr, or kNoSlot. */
     std::uint32_t findSlot(Addr lineAddr) const;
@@ -290,18 +323,29 @@ class SpecCache
      *  over the LRU way on a miss. @return true on an L1 hit. */
     bool touchL1(Addr lineAddr);
     void dropL1(Addr lineAddr);
-    void noteSpec(std::uint32_t slot);
+    /** Register @p line (at @p slot) in the speculative list once. */
+    void noteSpec(Line &line, std::uint32_t slot);
     /** Free @p slot's way (its Line state is reset on refill). */
     void freeSlot(std::uint32_t slot) { keyAt(slot) = 0; }
 
     CacheConfig config;
     std::uint32_t lineWords;
+    std::uint32_t lineShift; ///< log2(lineBytes): set index math
     std::uint32_t l2Sets;
     std::uint32_t l1Sets;
-    /// l2Sets x l2Assoc
-    std::vector<Line, ArenaAllocator<Line>> lines;
+    bool assocPow2 = false;
+    std::uint32_t assocShift = 0; ///< log2(l2Assoc) when assocPow2
     /// l2Sets x l2Assoc keys, rounded up to whole blocks
     std::vector<KeyBlock, ArenaAllocator<KeyBlock>> keyBlocks;
+    /** Raw storage for l2Sets x l2Assoc Lines, reserved up front but
+     *  never initialised here: blocks of l2Assoc Lines go to sets in
+     *  first-fill order, so only the pages of filled sets are ever
+     *  touched. Blocks are never returned. */
+    ArenaAllocator<Line> poolAlloc;
+    Line *linePool = nullptr;
+    /// per set: 1-based index of its Line block, 0 = never filled
+    std::vector<std::uint32_t, ArenaAllocator<std::uint32_t>> setBlock;
+    std::uint32_t blocksUsed = 0;
     /// l1Sets x l1Assoc
     std::vector<L1Tag, ArenaAllocator<L1Tag>> l1Tags;
     /** (set, way) slots holding speculative state, for O(txn) cleanup. */

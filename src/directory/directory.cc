@@ -11,18 +11,18 @@ Directory::Directory(NodeId node, std::uint32_t num_nodes,
                      EventQueue &eq, Network &net,
                      const DirectoryConfig &cfg, Arena *arena_)
     : nodeId(node), numNodes(num_nodes), eventq(eq), network(net),
-      config(cfg), arena(arena_), skipWindow(arena_), entries(arena_),
+      config(cfg), arena(arena_), skipWindow(arena_),
       deferredProbes(ArenaAllocator<Message>(arena_)),
       stalledLoads(ArenaAllocator<Message>(arena_)),
       redispatchLoads(ArenaAllocator<Message>(arena_)),
       mcastBuf(ArenaAllocator<NodeId>(arena_)), lruIndex(arena_),
       msgPool(arena_)
 {
-    // Size the entry map up front: with a directory cache configured
-    // its LRU bounds the hot set; otherwise start with a generous
-    // default so steady-state inserts never rehash.
-    entries.reserve(config.dirCacheEntries != 0 ? config.dirCacheEntries
-                                                : 1024);
+    // With a directory cache configured its LRU bounds the hot set, so
+    // size the entry map for it up front. Otherwise the map grows with
+    // the lines this directory tracks.
+    if (config.dirCacheEntries != 0)
+        entries.reserve(config.dirCacheEntries);
 }
 
 Directory::Entry &

@@ -228,7 +228,8 @@ class Directory
     EventQueue &eventq;
     Network &network;
     DirectoryConfig config;
-    /** Run-private memory for every map/pool below (may be null). */
+    /** Run-private memory for the maps/pools below except entries
+     *  (may be null). */
     Arena *arena;
 
     Tid nowServing = 0;
@@ -236,7 +237,10 @@ class Directory
     SkipVector skipWindow;
 
     /** Per-line protocol state, touched once per directory message:
-     *  open addressing keeps the lookup a single probe, no chase. */
+     *  open addressing keeps the lookup a single probe, no chase.
+     *  Heap-backed, unlike the other per-run tables: it grows with the
+     *  lines the directory tracks, and the heap frees each table it
+     *  outgrows where the arena would keep them all. */
     FlatMap<Addr, Entry> entries;
     PendingCommit pending;
 

@@ -45,6 +45,9 @@ DsLayout::DsLayout(const DataStructParams &params, std::uint64_t seed)
 {
     if (keys == 0)
         fatal("data-structure workload needs at least one key");
+    dists.reserve(params.phases.size());
+    for (const auto &ph : params.phases)
+        dists.emplace_back(keys, ph.theta);
     if (!params.scrambleKeys)
         return;
     // Seeded Fisher-Yates permutation: an exact bijection for any key
@@ -72,12 +75,14 @@ DataStructSource::DataStructSource(
     NodeId proc, std::uint32_t num_procs)
     : prm(params), lay(std::move(layout)),
       rng(seed * 0x9e3779b97f4a7c15ull + proc + 1), nodeId(proc),
-      numProcs(num_procs)
+      numProcs(num_procs), dists(lay->phaseDists())
 {
     if (prm.phases.empty())
         fatal("data-structure workload needs at least one phase");
+    if (dists.size() != prm.phases.size())
+        fatal("data-structure layout built for %zu phases, source has %zu",
+              dists.size(), prm.phases.size());
     myTxns.reserve(prm.phases.size());
-    dists.reserve(prm.phases.size());
     tallies.resize(prm.phases.size());
     for (const auto &ph : prm.phases) {
         if (ph.txns < num_procs) {
@@ -89,7 +94,6 @@ DataStructSource::DataStructSource(
         const std::uint32_t extra =
             proc < (ph.txns % num_procs) ? 1 : 0;
         myTxns.push_back(base + extra);
-        dists.emplace_back(prm.numKeys, ph.theta);
     }
 }
 

@@ -111,8 +111,9 @@ struct DataStructParams {
 };
 
 /**
- * Key -> address mapping and the seeded rank permutation, shared by
- * all processors of one workload instance. Word addresses:
+ * Key -> address mapping, the seeded rank permutation and the
+ * per-phase rank generators, shared by all processors of one workload
+ * instance. Word addresses:
  *
  *   keyAddr(k) = kvBase() + k * strideWords * 4
  *     Map: stride 2 (header word + value word); Set/Queue/Bank:
@@ -163,10 +164,16 @@ class DsLayout
         return perm.empty() ? rank : perm[rank];
     }
 
+    /** One rank generator per schedule phase. Built once here: the
+     *  Zipf normalizer costs O(numKeys), and every processor draws
+     *  from the same distribution. */
+    const std::vector<KeyDist> &phaseDists() const { return dists; }
+
   private:
     std::uint32_t keys;
     std::uint32_t stride;
     std::vector<std::uint32_t> perm;
+    std::vector<KeyDist> dists;
 };
 
 /** Per-phase commit/abort tally (flash-crowd gate input). */
@@ -217,7 +224,7 @@ class DataStructSource : public TransactionSource
     std::uint32_t numProcs;
 
     std::vector<std::uint32_t> myTxns; ///< my share, per phase
-    std::vector<KeyDist> dists;        ///< per-phase rank generators
+    std::vector<KeyDist> dists;        ///< the layout's, per phase
     std::uint32_t phaseIdx = 0;
     std::uint32_t txnInPhase = 0;
     std::uint32_t lastPhase = 0;   ///< phase of the txn in flight

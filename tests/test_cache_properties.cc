@@ -12,7 +12,13 @@
  *      set of speculatively stored lines/words;
  *   4. abort discards speculative words, commit retains them as dirty;
  *   5. random operation sequences never corrupt the LRU/valid state
- *      (exercised via a mixed op fuzz loop with model checking).
+ *      (exercised via a mixed op fuzz loop with model checking);
+ *   6. a set's Line storage is handed out on its first fill and kept:
+ *      refills, evictions, commit, abort, invalidate and flush never
+ *      change the count of sets in use.
+ *
+ * The geometries include non-power-of-two associativities, which take
+ * the general slot -> Line block path.
  */
 
 #include <gtest/gtest.h>
@@ -185,6 +191,69 @@ TEST_P(CacheGeometry, FuzzAgainstReferenceModel)
     EXPECT_TRUE(c.writeSet().empty());
 }
 
+TEST_P(CacheGeometry, SetsInUseCountsFirstFillsOnly)
+{
+    SpecCache c(cfg());
+    EXPECT_EQ(c.setsInUse(), 0u);
+    const std::uint32_t lb = cfg().lineBytes;
+    const std::uint32_t assoc = cfg().l2Assoc;
+    const std::uint32_t sets = cfg().l2Bytes / lb / assoc;
+    const std::uint32_t k = sets / 2;
+    // Line @p tag of set @p set (tags share the set, so they conflict).
+    auto lineIn = [&](std::uint32_t set, std::uint32_t tag) {
+        return (static_cast<Addr>(tag + 16) * sets + set) * lb;
+    };
+    auto eachSet = [&](auto fn) {
+        for (std::uint32_t set = 0; set < k; ++set)
+            fn(set);
+    };
+
+    eachSet([&](std::uint32_t set) {
+        ASSERT_TRUE(c.fill(lineIn(set, 0)).ok);
+    });
+    EXPECT_EQ(c.setsInUse(), k) << "first fills";
+
+    eachSet([&](std::uint32_t set) {
+        ASSERT_TRUE(c.fill(lineIn(set, 0)).ok);
+    });
+    EXPECT_EQ(c.setsInUse(), k) << "refills";
+
+    eachSet([&](std::uint32_t set) {
+        EXPECT_TRUE(c.load(lineIn(set, 0)).hit);
+        EXPECT_TRUE(c.store(lineIn(set, 0)).hit);
+    });
+    c.commitSpec(1);
+    EXPECT_EQ(c.setsInUse(), k) << "commit";
+
+    // assoc more lines per set evict the committed-dirty tag 0.
+    eachSet([&](std::uint32_t set) {
+        for (std::uint32_t t = 1; t <= assoc; ++t)
+            ASSERT_TRUE(c.fill(lineIn(set, t)).ok);
+        EXPECT_FALSE(c.present(lineIn(set, 0)));
+    });
+    EXPECT_EQ(c.stats().dirtyEvictions, k);
+    EXPECT_EQ(c.setsInUse(), k) << "evictions";
+
+    eachSet([&](std::uint32_t set) {
+        EXPECT_TRUE(c.store(lineIn(set, 1)).hit);
+    });
+    c.abortSpec();
+    EXPECT_EQ(c.setsInUse(), k) << "abort";
+
+    eachSet([&](std::uint32_t set) {
+        EXPECT_TRUE(c.store(lineIn(set, assoc)).hit);
+    });
+    c.commitSpec(2);
+    eachSet([&](std::uint32_t set) {
+        EXPECT_TRUE(c.flushLine(lineIn(set, assoc)));
+        c.invalidate(lineIn(set, assoc - 1), c.fullMask());
+    });
+    EXPECT_EQ(c.setsInUse(), k) << "flush + invalidate";
+
+    ASSERT_TRUE(c.fill(lineIn(k, 0)).ok);
+    EXPECT_EQ(c.setsInUse(), k + 1) << "first fill of one more set";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
     ::testing::Values(Geometry{32, 1024, 4, Granularity::Word},
@@ -193,7 +262,9 @@ INSTANTIATE_TEST_SUITE_P(
                       Geometry{16, 512, 2, Granularity::Word},
                       Geometry{128, 8192, 4, Granularity::Word},
                       Geometry{32, 2048, 8, Granularity::Line},
-                      Geometry{256, 16384, 4, Granularity::Word}),
+                      Geometry{256, 16384, 4, Granularity::Word},
+                      Geometry{32, 1536, 3, Granularity::Word},
+                      Geometry{32, 3072, 6, Granularity::Line}),
     geomName);
 
 } // namespace

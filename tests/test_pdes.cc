@@ -639,18 +639,29 @@ TEST(PdesAdaptive, IdleDomainsAreNeverDispatched)
 
 // --- PDES x chaos ---------------------------------------------------
 
-TEST(PdesChaos, EveryPresetDeterministicAcrossJobs)
+/** One case per chaos preset, so `ctest -j` runs the grid in
+ *  parallel. */
+class PdesChaosPreset : public ::testing::TestWithParam<std::string>
 {
-    for (const auto &preset : chaosPresetNames()) {
-        SCOPED_TRACE(preset);
-        const RunResult one = runPdes("radix", 16, 4, 1, preset, 99);
-        ASSERT_TRUE(one.completed);
-        ASSERT_TRUE(one.checksPassed())
-            << one.serial.error << one.invariants.error;
-        const RunResult four = runPdes("radix", 16, 4, 4, preset, 99);
-        expectSameResult(one, four);
-    }
+};
+
+TEST_P(PdesChaosPreset, DeterministicAcrossJobs)
+{
+    const std::string &preset = GetParam();
+    const RunResult one = runPdes("radix", 16, 4, 1, preset, 99);
+    ASSERT_TRUE(one.completed);
+    ASSERT_TRUE(one.checksPassed())
+        << one.serial.error << one.invariants.error;
+    const RunResult four = runPdes("radix", 16, 4, 4, preset, 99);
+    expectSameResult(one, four);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    EveryPreset, PdesChaosPreset,
+    ::testing::ValuesIn(chaosPresetNames()),
+    [](const ::testing::TestParamInfo<std::string> &info) {
+        return info.param;
+    });
 
 TEST(PdesChaos, SeedPerturbsTheRun)
 {
