@@ -103,17 +103,18 @@ usage(const char *argv0)
     std::exit(1);
 }
 
-/** Parse the value of numeric flag @p flag: the whole token must be a
- *  decimal unsigned that fits in T. Exits with a message otherwise. */
+/** Parse the value of numeric flag @p flag from offset @p skip on:
+ *  the rest of the token must be a decimal unsigned that fits in T.
+ *  Exits with a message naming the whole value otherwise. */
 template <typename T>
 T
 parseUnsigned(const std::string &val, const std::string &flag,
-              const char *argv0)
+              const char *argv0, std::size_t skip = 0)
 {
     std::uint64_t v = 0;
     const char *end = val.data() + val.size();
-    const auto [ptr, ec] = std::from_chars(val.data(), end, v);
-    if (val.empty() || ec != std::errc() || ptr != end ||
+    const auto [ptr, ec] = std::from_chars(val.data() + skip, end, v);
+    if (ec != std::errc() || ptr != end ||
         v > std::numeric_limits<T>::max()) {
         std::fprintf(stderr, "%s: invalid value '%s' for %s\n", argv0,
                      val.c_str(), flag.c_str());
@@ -161,8 +162,8 @@ parseMulticast(const std::string &val, MulticastConfig &mc,
         mc.topology = MulticastConfig::Topology::Tree;
     } else if (val.rfind("tree:k", 0) == 0) {
         mc.topology = MulticastConfig::Topology::Tree;
-        mc.fanout = static_cast<std::uint32_t>(
-            std::atoi(val.c_str() + 6));
+        mc.fanout = parseUnsigned<std::uint32_t>(val, "--multicast",
+                                                 argv0, 6);
     } else {
         std::fprintf(stderr, "%s: unknown multicast '%s'\n", argv0,
                      val.c_str());

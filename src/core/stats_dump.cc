@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/flat_map.hh"
@@ -15,149 +16,92 @@ namespace tcc {
 
 namespace {
 
-void
-line(std::ostream &os, const std::string &name, std::uint64_t v)
-{
-    os << name << " " << v << "\n";
-}
-
-void
-lined(std::ostream &os, const std::string &name, double v)
-{
-    os << name << " " << v << "\n";
-}
-
-void
-dumpDistribution(std::ostream &os, const std::string &prefix,
-                 const Distribution &d)
-{
-    line(os, prefix + ".count", d.count());
-    if (d.count() == 0)
-        return;
-    lined(os, prefix + ".mean", d.mean());
-    lined(os, prefix + ".min", d.min());
-    lined(os, prefix + ".p50", d.percentile(50));
-    lined(os, prefix + ".p90", d.percentile(90));
-    lined(os, prefix + ".max", d.max());
-    lined(os, prefix + ".stddev", d.stddev());
-}
-
 /**
- * Minimal structural JSON writer: tracks "does the current scope need
- * a comma" so emission order alone determines the output. Doubles use
- * "%.6g" so dumps are byte-stable across platforms.
+ * One node of the ordered stats tree. An object or an array owns its
+ * children in emission order; a leaf holds one number, flag or name.
+ * Keys and names are string literals or strings owned by the System
+ * the tree was built from, so a tree must not outlive that System.
  */
-class JsonWriter
-{
-  public:
-    explicit JsonWriter(std::ostream &os_) : os(os_) {}
+struct StatNode {
+    enum class Kind : std::uint8_t { Object, Array, Uint, Real, Flag, Name };
 
-    void
-    beginObj(const char *key = nullptr)
+    Kind kind = Kind::Object;
+    /** Member name inside an object; null for an array element. */
+    const char *key = nullptr;
+    union {
+        std::uint64_t u = 0; ///< Uint, and Flag as 0/1
+        double f;            ///< Real
+        const char *s;       ///< Name
+    };
+    std::vector<StatNode> children;
+
+    /** Append a child object (or array) and return it. The reference
+     *  is valid until the next child is appended to this node. */
+    StatNode &
+    object(const char *k = nullptr)
     {
-        sep();
-        tag(key);
-        os << "{";
-        needComma = false;
+        StatNode &n = children.emplace_back();
+        n.key = k;
+        return n;
     }
 
-    void
-    endObj()
+    StatNode &
+    array(const char *k)
     {
-        os << "}";
-        needComma = true;
+        StatNode &n = object(k);
+        n.kind = Kind::Array;
+        return n;
     }
 
+    /** Append a leaf; its kind follows the value's type. */
+    template <typename T>
     void
-    beginArr(const char *key = nullptr)
+    add(const char *k, T v)
     {
-        sep();
-        tag(key);
-        os << "[";
-        needComma = false;
+        StatNode &n = object(k);
+        if constexpr (std::is_same_v<T, bool>) {
+            n.kind = Kind::Flag;
+            n.u = v ? 1 : 0;
+        } else if constexpr (std::is_integral_v<T>) {
+            n.kind = Kind::Uint;
+            n.u = static_cast<std::uint64_t>(v);
+        } else if constexpr (std::is_floating_point_v<T>) {
+            n.kind = Kind::Real;
+            n.f = v;
+        } else {
+            static_assert(std::is_same_v<T, const char *>);
+            n.kind = Kind::Name;
+            n.s = v;
+        }
     }
-
-    void
-    endArr()
-    {
-        os << "]";
-        needComma = true;
-    }
-
-    void
-    kv(const char *key, std::uint64_t v)
-    {
-        sep();
-        tag(key);
-        char buf[32];
-        std::snprintf(buf, sizeof(buf), "%" PRIu64, v);
-        os << buf;
-        needComma = true;
-    }
-
-    void
-    kv(const char *key, double v)
-    {
-        sep();
-        tag(key);
-        char buf[40];
-        std::snprintf(buf, sizeof(buf), "%.6g", v);
-        os << buf;
-        needComma = true;
-    }
-
-    void
-    kvBool(const char *key, bool v)
-    {
-        sep();
-        tag(key);
-        os << (v ? "true" : "false");
-        needComma = true;
-    }
-
-    /** String values are known identifiers; no escaping needed. */
-    void
-    kvStr(const char *key, const char *v)
-    {
-        sep();
-        tag(key);
-        os << "\"" << v << "\"";
-        needComma = true;
-    }
-
-  private:
-    void
-    sep()
-    {
-        if (needComma)
-            os << ",";
-    }
-
-    void
-    tag(const char *key)
-    {
-        if (key != nullptr)
-            os << "\"" << key << "\":";
-    }
-
-    std::ostream &os;
-    bool needComma = false;
 };
 
 void
-jsonDistribution(JsonWriter &j, const char *key, const Distribution &d)
+addDistribution(StatNode &parent, const char *key, const Distribution &d)
 {
-    j.beginObj(key);
-    j.kv("count", static_cast<std::uint64_t>(d.count()));
-    if (d.count() != 0) {
-        j.kv("mean", d.mean());
-        j.kv("min", d.min());
-        j.kv("p50", d.percentile(50));
-        j.kv("p90", d.percentile(90));
-        j.kv("max", d.max());
-        j.kv("stddev", d.stddev());
-    }
-    j.endObj();
+    StatNode &n = parent.object(key);
+    n.add("count", d.count());
+    if (d.count() == 0)
+        return;
+    n.add("mean", d.mean());
+    n.add("min", d.min());
+    n.add("p50", d.percentile(50));
+    n.add("p90", d.percentile(90));
+    n.add("max", d.max());
+    n.add("stddev", d.stddev());
+}
+
+/** Cross-commit summary: sample count, mean, p50 and p99. */
+void
+addSummary(StatNode &parent, const char *key, const Distribution &d)
+{
+    StatNode &n = parent.object(key);
+    n.add("count", d.count());
+    if (d.count() == 0)
+        return;
+    n.add("mean", d.mean());
+    n.add("p50", d.percentile(50));
+    n.add("p99", d.percentile(99));
 }
 
 /** Aggregate per-entry violation causes across the whole ledger:
@@ -183,68 +127,360 @@ aggregateCauses(const std::vector<TxLedgerEntry> &ledger)
 }
 
 void
-dumpLedgerText(std::ostream &os,
-               const std::vector<TxLedgerEntry> &ledger)
+addConfig(StatNode &root, const SystemConfig &cfg)
 {
-    line(os, "tx_ledger.count", ledger.size());
-    for (std::size_t i = 0; i < ledger.size(); ++i) {
-        const TxLedgerEntry &e = ledger[i];
-        const std::string pre = "tx_ledger." + std::to_string(i);
-        line(os, pre + ".tid", e.tid);
-        line(os, pre + ".node", e.node);
-        line(os, pre + ".begin_tick", e.beginTick);
-        line(os, pre + ".exec_cycles", e.execCycles());
-        line(os, pre + ".commit_cycles", e.commitCycles());
-        line(os, pre + ".retries", e.retries);
-        line(os, pre + ".probes", e.probeCount);
-        lined(os, pre + ".probe_rtt_mean", e.probeRttMean());
-        line(os, pre + ".probe_rtt_max", e.probeRttMax);
-        line(os, pre + ".mark_to_commit", e.markToCommitCycles());
-        line(os, pre + ".skip_to_commit", e.skipToCommitCycles());
-        line(os, pre + ".directories_touched", e.directoriesTouched);
-        line(os, pre + ".multicast_events", e.multicastEvents);
-        if (e.hasViolation) {
-            line(os, pre + ".violation_addr", e.violationAddr);
-            line(os, pre + ".violation_writer", e.violationWriter);
-            line(os, pre + ".causes", e.causes.size());
-            for (std::size_t c = 0; c < e.causes.size(); ++c) {
-                const std::string cp =
-                    pre + ".cause" + std::to_string(c);
-                line(os, cp + ".addr", e.causes[c].first);
-                line(os, cp + ".count", e.causes[c].second);
-            }
+    StatNode &c = root.object("config");
+    c.add("procs", cfg.numProcs);
+    StatNode &net = c.object("network");
+    const auto model = cfg.network.model;
+    net.add("model", model == NetworkConfig::Model::Mesh    ? "mesh"
+                     : model == NetworkConfig::Model::Ideal ? "ideal"
+                                                            : "chaos");
+    const ChaosConfig &chaos = cfg.network.chaos;
+    if (model == NetworkConfig::Model::Chaos) {
+        net.add("base", chaos.overIdeal ? "ideal" : "mesh");
+        net.add("seed", chaos.seed);
+        net.add("jitter", chaos.jitter);
+        net.add("reorder_prob", chaos.reorderProb);
+        net.add("reorder_window", chaos.reorderWindow);
+        net.add("duplicate_prob", chaos.duplicateProb);
+        net.add("duplicate_lag", chaos.duplicateLag);
+    }
+    if (model == NetworkConfig::Model::Ideal ||
+        (model == NetworkConfig::Model::Chaos && chaos.overIdeal)) {
+        net.add("ideal_latency", cfg.network.idealLatency);
+    } else {
+        net.add("hop_latency", cfg.network.mesh.hopLatency);
+        net.add("link_bytes_per_cycle",
+                cfg.network.mesh.linkBytesPerCycle);
+    }
+    StatNode &check = c.object("check");
+    check.add("serial", cfg.check.serial);
+    check.add("invariants", cfg.check.invariants);
+    c.add("write_through_commit", cfg.writeThroughCommit);
+}
+
+/** Epoch time series: one parallel array per probe plus the derived
+ *  nstid_lag (tids issued minus the slowest directory's NSTID - the
+ *  commit pipeline's depth over time). */
+void
+addMetrics(StatNode &root, const MetricsSampler &m)
+{
+    StatNode &n = root.object("metrics");
+    n.add("epoch", m.epochLength());
+    n.add("epochs_closed", m.closed());
+    n.add("epochs_dropped", m.dropped());
+    n.add("first_epoch", m.firstEpoch());
+    StatNode &series = n.object("series");
+    for (std::size_t p = 0; p < m.probeCount(); ++p) {
+        StatNode &col = series.array(m.probeName(p));
+        for (std::size_t r = 0; r < m.rows(); ++r)
+            col.add(nullptr, m.at(r, p));
+    }
+    const int issued = m.probeIndex("tids_issued");
+    const int nstid = m.probeIndex("nstid_min");
+    if (issued >= 0 && nstid >= 0) {
+        StatNode &lag = series.array("nstid_lag");
+        for (std::size_t r = 0; r < m.rows(); ++r) {
+            const std::uint64_t hi =
+                m.at(r, static_cast<std::size_t>(issued));
+            const std::uint64_t lo =
+                m.at(r, static_cast<std::size_t>(nstid));
+            lag.add(nullptr, hi > lo ? hi - lo : 0);
         }
     }
-    // Ledger-wide violation-cause histogram: which addresses caused
-    // retries, not just each transaction's *last* cause.
-    const auto causes = aggregateCauses(ledger);
-    line(os, "tx_ledger.violation_causes.count", causes.size());
-    for (std::size_t c = 0; c < causes.size(); ++c) {
-        const std::string cp =
-            "tx_ledger.violation_causes." + std::to_string(c);
-        line(os, cp + ".addr", causes[c].first);
-        line(os, cp + ".count", causes[c].second);
+}
+
+/** Conflict attribution: hot words and the abort blame graph. */
+void
+addContention(StatNode &root, const ContentionProfiler &c)
+{
+    StatNode &n = root.object("contention");
+    n.add("top_k", c.topK());
+    n.add("conflicts", c.conflictsRecorded());
+    n.add("evictions", c.evictions());
+    StatNode &words = n.array("hot_words");
+    for (const auto &w : c.hotWords()) {
+        StatNode &e = words.object();
+        e.add("addr", w.addr);
+        e.add("sr_conflicts", w.s.srConflicts);
+        e.add("sm_conflicts", w.s.smConflicts);
+        e.add("aborts", w.s.aborts);
+        e.add("wasted_cycles", w.s.wasted);
     }
-    // Cross-commit distributions (mean/p50/p99) of the fan-out shape:
-    // how many directories a commit touches and what it cost in
-    // NIC-serialized multicast injections.
+    StatNode &edges = n.array("blame_edges");
+    for (const auto &b : c.blameEdges()) {
+        StatNode &e = edges.object();
+        e.add("killer", b.killer);
+        e.add("victim", b.victim);
+        e.add("count", b.count);
+    }
+}
+
+void
+addProc(StatNode &procs, const System &sys, NodeId p)
+{
+    const auto &s = sys.proc(p).stats();
+    StatNode &n = procs.object();
+    n.add("node", p);
+    n.add("useful_cycles", s.usefulCycles);
+    n.add("miss_cycles", s.missCycles);
+    n.add("commit_cycles", s.commitCycles);
+    n.add("idle_cycles", s.idleCycles);
+    n.add("violation_cycles", s.violationCycles);
+    n.add("txns_committed", s.txnsCommitted);
+    n.add("violations", s.violations);
+    n.add("overflows", s.overflows);
+    n.add("solo_commits", s.soloCommits);
+    n.add("drains", s.drains);
+    n.add("tid_requests", s.tidRequests);
+    n.add("value_validation_failures", s.valueValidationFailures);
+    addDistribution(n, "txn_instructions", s.txnInstructions);
+    addDistribution(n, "commit_latency", s.commitLatency);
+    addDistribution(n, "dirs_per_commit", s.dirsPerCommit);
+    addDistribution(n, "dirs_touched_per_commit", s.dirsTouchedPerCommit);
+    addDistribution(n, "multicast_nic_per_commit",
+                    s.multicastNicPerCommit);
+
+    const auto &cs = sys.proc(p).cache().stats();
+    StatNode &cache = n.object("cache");
+    cache.add("loads", cs.loads);
+    cache.add("stores", cs.stores);
+    cache.add("l1_hits", cs.l1Hits);
+    cache.add("l2_hits", cs.l2Hits);
+    cache.add("misses", cs.misses);
+    cache.add("fills", cs.fills);
+    cache.add("dirty_evictions", cs.dirtyEvictions);
+    cache.add("overflows", cs.overflows);
+    cache.add("ghosts", cs.ghostsCreated);
+}
+
+void
+addDir(StatNode &dirs, const System &sys, NodeId d)
+{
+    const Directory &dir = sys.directory(d);
+    const auto &s = dir.stats();
+    StatNode &n = dirs.object();
+    n.add("node", d);
+    n.add("nstid", dir.nstid());
+    n.add("loads_served", s.loadsServed);
+    n.add("loads_stalled", s.loadsStalled);
+    n.add("loads_forwarded", s.loadsForwarded);
+    n.add("skips", s.skipsReceived);
+    n.add("commits", s.commitsServed);
+    n.add("partial_commits", s.partialCommitsServed);
+    n.add("aborts", s.abortsServed);
+    n.add("invalidations", s.invalidationsSent);
+    n.add("writebacks_accepted", s.writeBacksAccepted);
+    n.add("writebacks_dropped", s.writeBacksDropped);
+    n.add("marks", s.marksReceived);
+    n.add("probes_deferred", s.probesDeferred);
+    n.add("dir_cache_misses", s.dirCacheMisses);
+    n.add("busy_cycles", s.busyCycles);
+    n.add("entries", dir.numEntries());
+    addDistribution(n, "commit_occupancy", s.commitOccupancy);
+    addDistribution(n, "working_set", s.workingSet);
+}
+
+void
+addLedger(StatNode &root, const std::vector<TxLedgerEntry> &ledger)
+{
+    StatNode &arr = root.array("tx_ledger");
+    for (const TxLedgerEntry &e : ledger) {
+        StatNode &n = arr.object();
+        n.add("tid", e.tid);
+        n.add("node", e.node);
+        n.add("begin_tick", e.beginTick);
+        n.add("exec_cycles", e.execCycles());
+        n.add("commit_cycles", e.commitCycles());
+        n.add("retries", e.retries);
+        n.add("probes", e.probeCount);
+        n.add("probe_rtt_mean", e.probeRttMean());
+        n.add("probe_rtt_max", e.probeRttMax);
+        n.add("mark_to_commit", e.markToCommitCycles());
+        n.add("skip_to_commit", e.skipToCommitCycles());
+        n.add("directories_touched", e.directoriesTouched);
+        n.add("multicast_events", e.multicastEvents);
+        n.add("has_violation", e.hasViolation);
+        if (!e.hasViolation)
+            continue;
+        n.add("violation_addr", e.violationAddr);
+        n.add("violation_writer", e.violationWriter);
+        StatNode &causes = n.array("causes");
+        for (const auto &[addr, count] : e.causes) {
+            StatNode &c = causes.object();
+            c.add("addr", addr);
+            c.add("count", count);
+        }
+    }
+
+    // Cross-commit fan-out distributions: directories touched per
+    // commit and NIC-serialized multicast cost per commit.
     Distribution dirs, mcast;
     for (const TxLedgerEntry &e : ledger) {
         dirs.sample(static_cast<double>(e.directoriesTouched));
         mcast.sample(static_cast<double>(e.multicastEvents));
     }
-    if (dirs.count() != 0) {
-        lined(os, "tx_ledger.directories_touched.mean", dirs.mean());
-        lined(os, "tx_ledger.directories_touched.p50",
-              dirs.percentile(50));
-        lined(os, "tx_ledger.directories_touched.p99",
-              dirs.percentile(99));
-        lined(os, "tx_ledger.multicast_events.mean", mcast.mean());
-        lined(os, "tx_ledger.multicast_events.p50",
-              mcast.percentile(50));
-        lined(os, "tx_ledger.multicast_events.p99",
-              mcast.percentile(99));
+    StatNode &sum = root.object("tx_ledger_summary");
+    addSummary(sum, "directories_touched", dirs);
+    addSummary(sum, "multicast_events", mcast);
+    // Ledger-wide violation-cause histogram: which addresses caused
+    // retries, not just each transaction's *last* cause.
+    StatNode &causes = sum.array("violation_causes");
+    for (const auto &[addr, count] : aggregateCauses(ledger)) {
+        StatNode &c = causes.object();
+        c.add("addr", addr);
+        c.add("count", count);
     }
+}
+
+/** The one number formatter of both renderers. */
+void
+writeNumber(std::ostream &os, const StatNode &n)
+{
+    char buf[40];
+    if (n.kind == StatNode::Kind::Uint)
+        std::snprintf(buf, sizeof(buf), "%" PRIu64, n.u);
+    else
+        std::snprintf(buf, sizeof(buf), "%.6g", n.f);
+    os << buf;
+}
+
+void
+writeJson(std::ostream &os, const StatNode &n)
+{
+    if (n.key != nullptr)
+        os << "\"" << n.key << "\":";
+    switch (n.kind) {
+    case StatNode::Kind::Object:
+    case StatNode::Kind::Array: {
+        const bool obj = n.kind == StatNode::Kind::Object;
+        os << (obj ? "{" : "[");
+        for (std::size_t i = 0; i < n.children.size(); ++i) {
+            if (i != 0)
+                os << ",";
+            writeJson(os, n.children[i]);
+        }
+        os << (obj ? "}" : "]");
+        break;
+    }
+    case StatNode::Kind::Flag:
+        os << (n.u != 0 ? "true" : "false");
+        break;
+    case StatNode::Kind::Name:
+        // Names are known identifiers; no escaping needed.
+        os << "\"" << n.s << "\"";
+        break;
+    default:
+        writeNumber(os, n);
+    }
+}
+
+/** Write @p n's lines under @p path (extended and restored in place). */
+void
+writeText(std::ostream &os, const StatNode &n, std::string &path)
+{
+    const std::size_t len = path.size();
+    switch (n.kind) {
+    case StatNode::Kind::Object:
+        for (const StatNode &c : n.children) {
+            if (len != 0)
+                path += '.';
+            path += c.key;
+            writeText(os, c, path);
+            path.resize(len);
+        }
+        return;
+    case StatNode::Kind::Array:
+        os << path << ".count " << n.children.size() << "\n";
+        for (std::size_t i = 0; i < n.children.size(); ++i) {
+            path += '.';
+            path += std::to_string(i);
+            writeText(os, n.children[i], path);
+            path.resize(len);
+        }
+        return;
+    case StatNode::Kind::Flag:
+        os << path << " " << n.u << "\n";
+        return;
+    case StatNode::Kind::Name:
+        os << path << " " << n.s << "\n";
+        return;
+    default:
+        os << path << " ";
+        writeNumber(os, n);
+        os << "\n";
+    }
+}
+
+/** Every statistic of @p sys as one ordered tree. */
+StatNode
+buildStatsTree(const System &sys)
+{
+    StatNode root;
+    addConfig(root, sys.cfg());
+
+    const Breakdown bd = sys.computeBreakdown();
+    const Arena::Stats as = sys.arenaStats();
+    StatNode &s = root.object("system");
+    s.add("procs", sys.numProcs());
+    s.add("committed_instructions", sys.committedInstructions());
+    s.add("useful_cycles", bd.useful);
+    s.add("miss_cycles", bd.miss);
+    s.add("commit_cycles", bd.commit);
+    s.add("idle_cycles", bd.idle);
+    s.add("violation_cycles", bd.violation);
+    s.add("tids_issued", sys.vendor().issued());
+    s.add("quiesced", sys.protocolQuiesced());
+    s.add("arena_peak_bytes", as.peakBytes);
+    s.add("arena_chunks", as.chunks);
+    s.add("trace_events_captured", sys.traceRecorder().captured());
+    s.add("trace_events_dropped", sys.traceRecorder().dropped());
+
+    const auto &ns = sys.network().stats();
+    StatNode &net = root.object("network");
+    net.add("messages", ns.messages);
+    net.add("bytes", ns.totalBytes);
+    net.add("hops", ns.totalHops);
+    net.add("multicasts", ns.multicasts);
+    net.add("multicast_nic_events", ns.multicastNicEvents);
+    StatNode &cls = net.object("bytes_by_class");
+    cls.add("overhead", ns.classBytes[(int)TrafficClass::Overhead]);
+    cls.add("miss", ns.classBytes[(int)TrafficClass::Miss]);
+    cls.add("writeback", ns.classBytes[(int)TrafficClass::WriteBack]);
+    cls.add("shared", ns.classBytes[(int)TrafficClass::Shared]);
+
+    const auto &ps = sys.pdesStats();
+    if (ps.domains != 0) {
+        StatNode &pdes = root.object("pdes");
+        pdes.add("domains", ps.domains);
+        pdes.add("jobs", ps.jobs);
+        pdes.add("sync", ps.adaptive ? "adaptive" : "fixed");
+        pdes.add("lookahead", ps.lookahead);
+        pdes.add("windows", ps.windows);
+        pdes.add("phases", ps.phases);
+        pdes.add("mailbox_messages", ps.mailboxMessages);
+        pdes.add("idle_domain_skips", ps.idleDomainSkips);
+        pdes.add("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
+        addDistribution(pdes, "window_width", ps.windowWidth);
+    }
+
+    if (const MetricsSampler *m = sys.metricsSampler())
+        addMetrics(root, *m);
+    if (const ContentionProfiler *c = sys.contentionProfiler())
+        addContention(root, *c);
+
+    StatNode &procs = root.array("procs");
+    for (NodeId p = 0; p < sys.numProcs(); ++p)
+        addProc(procs, sys, p);
+    StatNode &dirs = root.array("dirs");
+    for (NodeId d = 0; d < sys.numProcs(); ++d)
+        addDir(dirs, sys, d);
+
+    addLedger(root, sys.traceRecorder().captured() != 0
+                        ? buildTxLedger(sys.traceRecorder())
+                        : std::vector<TxLedgerEntry>{});
+    return root;
 }
 
 } // namespace
@@ -253,469 +489,15 @@ void
 dumpStats(const System &sys, std::ostream &os)
 {
     os << "---------- begin tcc stats ----------\n";
-
-    // --- system-level ------------------------------------------------
-    const Breakdown bd = sys.computeBreakdown();
-    line(os, "system.procs", sys.numProcs());
-    line(os, "system.committed_instructions",
-         sys.committedInstructions());
-    line(os, "system.useful_cycles", bd.useful);
-    line(os, "system.miss_cycles", bd.miss);
-    line(os, "system.commit_cycles", bd.commit);
-    line(os, "system.idle_cycles", bd.idle);
-    line(os, "system.violation_cycles", bd.violation);
-    line(os, "system.tids_issued", sys.vendor().issued());
-    line(os, "system.quiesced", sys.protocolQuiesced() ? 1 : 0);
-    const Arena::Stats as = sys.arenaStats();
-    line(os, "system.arena_peak_bytes", as.peakBytes);
-    line(os, "system.arena_chunks", as.chunks);
-    line(os, "system.trace_events_captured",
-         sys.traceRecorder().captured());
-
-    // --- network -------------------------------------------------------
-    const auto &ns = sys.network().stats();
-    line(os, "network.messages", ns.messages);
-    line(os, "network.bytes", ns.totalBytes);
-    line(os, "network.hops", ns.totalHops);
-    line(os, "network.multicasts", ns.multicasts);
-    line(os, "network.multicast_nic_events", ns.multicastNicEvents);
-    line(os, "network.bytes.overhead",
-         ns.classBytes[(int)TrafficClass::Overhead]);
-    line(os, "network.bytes.miss",
-         ns.classBytes[(int)TrafficClass::Miss]);
-    line(os, "network.bytes.writeback",
-         ns.classBytes[(int)TrafficClass::WriteBack]);
-    line(os, "network.bytes.shared",
-         ns.classBytes[(int)TrafficClass::Shared]);
-
-    // --- pdes (only populated by parallel runs) ----------------------
-    const auto &ps = sys.pdesStats();
-    if (ps.domains != 0) {
-        line(os, "pdes.domains", ps.domains);
-        line(os, "pdes.jobs", ps.jobs);
-        line(os, "pdes.sync_adaptive", ps.adaptive ? 1 : 0);
-        line(os, "pdes.lookahead", ps.lookahead);
-        line(os, "pdes.windows", ps.windows);
-        line(os, "pdes.phases", ps.phases);
-        line(os, "pdes.mailbox_messages", ps.mailboxMessages);
-        line(os, "pdes.idle_domain_skips", ps.idleDomainSkips);
-        line(os, "pdes.empty_broadcasts_skipped",
-             ps.emptyBroadcastsSkipped);
-        lined(os, "pdes.window_width.mean", ps.windowWidth.mean());
-        lined(os, "pdes.window_width.p50",
-              ps.windowWidth.percentile(50));
-        lined(os, "pdes.window_width.p99",
-              ps.windowWidth.percentile(99));
-    }
-
-    // --- per processor ---------------------------------------------------
-    for (NodeId p = 0; p < sys.numProcs(); ++p) {
-        const auto &s = sys.proc(p).stats();
-        const std::string pre = "proc" + std::to_string(p);
-        line(os, pre + ".useful_cycles", s.usefulCycles);
-        line(os, pre + ".miss_cycles", s.missCycles);
-        line(os, pre + ".commit_cycles", s.commitCycles);
-        line(os, pre + ".idle_cycles", s.idleCycles);
-        line(os, pre + ".violation_cycles", s.violationCycles);
-        line(os, pre + ".txns_committed", s.txnsCommitted);
-        line(os, pre + ".violations", s.violations);
-        line(os, pre + ".overflows", s.overflows);
-        line(os, pre + ".solo_commits", s.soloCommits);
-        line(os, pre + ".drains", s.drains);
-        line(os, pre + ".tid_requests", s.tidRequests);
-        line(os, pre + ".value_validation_failures",
-             s.valueValidationFailures);
-        dumpDistribution(os, pre + ".txn_instructions",
-                         s.txnInstructions);
-        dumpDistribution(os, pre + ".commit_latency", s.commitLatency);
-        dumpDistribution(os, pre + ".dirs_per_commit", s.dirsPerCommit);
-        dumpDistribution(os, pre + ".dirs_touched_per_commit",
-                         s.dirsTouchedPerCommit);
-        dumpDistribution(os, pre + ".multicast_nic_per_commit",
-                         s.multicastNicPerCommit);
-
-        const auto &cs = sys.proc(p).cache().stats();
-        line(os, pre + ".cache.loads", cs.loads);
-        line(os, pre + ".cache.stores", cs.stores);
-        line(os, pre + ".cache.l1_hits", cs.l1Hits);
-        line(os, pre + ".cache.l2_hits", cs.l2Hits);
-        line(os, pre + ".cache.misses", cs.misses);
-        line(os, pre + ".cache.fills", cs.fills);
-        line(os, pre + ".cache.dirty_evictions", cs.dirtyEvictions);
-        line(os, pre + ".cache.overflows", cs.overflows);
-        line(os, pre + ".cache.ghosts", cs.ghostsCreated);
-    }
-
-    // --- per directory ---------------------------------------------------
-    for (NodeId d = 0; d < sys.numProcs(); ++d) {
-        const auto &s = sys.directory(d).stats();
-        const std::string pre = "dir" + std::to_string(d);
-        line(os, pre + ".nstid", sys.directory(d).nstid());
-        line(os, pre + ".loads_served", s.loadsServed);
-        line(os, pre + ".loads_stalled", s.loadsStalled);
-        line(os, pre + ".loads_forwarded", s.loadsForwarded);
-        line(os, pre + ".skips", s.skipsReceived);
-        line(os, pre + ".commits", s.commitsServed);
-        line(os, pre + ".partial_commits", s.partialCommitsServed);
-        line(os, pre + ".aborts", s.abortsServed);
-        line(os, pre + ".invalidations", s.invalidationsSent);
-        line(os, pre + ".writebacks_accepted", s.writeBacksAccepted);
-        line(os, pre + ".writebacks_dropped", s.writeBacksDropped);
-        line(os, pre + ".marks", s.marksReceived);
-        line(os, pre + ".probes_deferred", s.probesDeferred);
-        line(os, pre + ".dir_cache_misses", s.dirCacheMisses);
-        line(os, pre + ".busy_cycles", s.busyCycles);
-        line(os, pre + ".entries", sys.directory(d).numEntries());
-        dumpDistribution(os, pre + ".commit_occupancy",
-                         s.commitOccupancy);
-        dumpDistribution(os, pre + ".working_set", s.workingSet);
-    }
-
-    // --- epoch metrics (summary; the series lives in --stats-json and
-    // --- the --metrics-out CSV) --------------------------------------
-    if (const MetricsSampler *m = sys.metricsSampler()) {
-        line(os, "metrics.epoch", m->epochLength());
-        line(os, "metrics.epochs_closed", m->closed());
-        line(os, "metrics.epochs_dropped", m->dropped());
-        line(os, "metrics.probes", m->probeCount());
-    }
-
-    // --- conflict attribution ----------------------------------------
-    if (const ContentionProfiler *c = sys.contentionProfiler()) {
-        line(os, "contention.top_k", c->topK());
-        line(os, "contention.conflicts", c->conflictsRecorded());
-        line(os, "contention.evictions", c->evictions());
-        const auto words = c->hotWords();
-        line(os, "contention.hot_words.count", words.size());
-        for (std::size_t i = 0; i < words.size(); ++i) {
-            const std::string pre =
-                "contention.hot_word." + std::to_string(i);
-            line(os, pre + ".addr", words[i].addr);
-            line(os, pre + ".sr_conflicts", words[i].s.srConflicts);
-            line(os, pre + ".sm_conflicts", words[i].s.smConflicts);
-            line(os, pre + ".aborts", words[i].s.aborts);
-            line(os, pre + ".wasted_cycles", words[i].s.wasted);
-        }
-        const auto edges = c->blameEdges();
-        line(os, "contention.blame_edges.count", edges.size());
-        for (std::size_t i = 0; i < edges.size(); ++i) {
-            const std::string pre =
-                "contention.blame_edge." + std::to_string(i);
-            line(os, pre + ".killer", edges[i].killer);
-            line(os, pre + ".victim", edges[i].victim);
-            line(os, pre + ".count", edges[i].count);
-        }
-    }
-
-    // --- transaction ledger (only when something was traced) ----------
-    if (sys.traceRecorder().captured() != 0)
-        dumpLedgerText(os, buildTxLedger(sys.traceRecorder()));
-
+    std::string path;
+    writeText(os, buildStatsTree(sys), path);
     os << "---------- end tcc stats ----------\n";
 }
 
 void
 dumpStatsJson(const System &sys, std::ostream &os)
 {
-    JsonWriter j(os);
-    j.beginObj();
-
-    // --- resolved configuration --------------------------------------
-    {
-        const SystemConfig &cfg = sys.cfg();
-        j.beginObj("config");
-        j.kv("procs", static_cast<std::uint64_t>(cfg.numProcs));
-        j.beginObj("network");
-        const char *model =
-            cfg.network.model == NetworkConfig::Model::Mesh ? "mesh"
-            : cfg.network.model == NetworkConfig::Model::Ideal
-                ? "ideal"
-                : "chaos";
-        j.kvStr("model", model);
-        if (cfg.network.model == NetworkConfig::Model::Chaos) {
-            const ChaosConfig &c = cfg.network.chaos;
-            j.kvStr("base", c.overIdeal ? "ideal" : "mesh");
-            j.kv("seed", c.seed);
-            j.kv("jitter", c.jitter);
-            j.kv("reorder_prob", c.reorderProb);
-            j.kv("reorder_window", c.reorderWindow);
-            j.kv("duplicate_prob", c.duplicateProb);
-            j.kv("duplicate_lag", c.duplicateLag);
-        }
-        if (cfg.network.model == NetworkConfig::Model::Ideal ||
-            (cfg.network.model == NetworkConfig::Model::Chaos &&
-             cfg.network.chaos.overIdeal)) {
-            j.kv("ideal_latency", cfg.network.idealLatency);
-        } else {
-            j.kv("hop_latency", cfg.network.mesh.hopLatency);
-            j.kv("link_bytes_per_cycle",
-                 static_cast<std::uint64_t>(
-                     cfg.network.mesh.linkBytesPerCycle));
-        }
-        j.endObj();
-        j.beginObj("check");
-        j.kvBool("serial", cfg.check.serial);
-        j.kvBool("invariants", cfg.check.invariants);
-        j.endObj();
-        j.kvBool("write_through_commit", cfg.writeThroughCommit);
-        j.endObj();
-    }
-
-    const Breakdown bd = sys.computeBreakdown();
-    j.beginObj("system");
-    j.kv("procs", static_cast<std::uint64_t>(sys.numProcs()));
-    j.kv("committed_instructions", sys.committedInstructions());
-    j.kv("useful_cycles", bd.useful);
-    j.kv("miss_cycles", bd.miss);
-    j.kv("commit_cycles", bd.commit);
-    j.kv("idle_cycles", bd.idle);
-    j.kv("violation_cycles", bd.violation);
-    j.kv("tids_issued", sys.vendor().issued());
-    j.kvBool("quiesced", sys.protocolQuiesced());
-    const Arena::Stats as = sys.arenaStats();
-    j.kv("arena_peak_bytes", as.peakBytes);
-    j.kv("arena_chunks", static_cast<std::uint64_t>(as.chunks));
-    j.kv("trace_events_captured", sys.traceRecorder().captured());
-    j.kv("trace_events_dropped", sys.traceRecorder().dropped());
-    j.endObj();
-
-    const auto &ns = sys.network().stats();
-    j.beginObj("network");
-    j.kv("messages", ns.messages);
-    j.kv("bytes", ns.totalBytes);
-    j.kv("hops", ns.totalHops);
-    j.kv("multicasts", ns.multicasts);
-    j.kv("multicast_nic_events", ns.multicastNicEvents);
-    j.beginObj("bytes_by_class");
-    j.kv("overhead", ns.classBytes[(int)TrafficClass::Overhead]);
-    j.kv("miss", ns.classBytes[(int)TrafficClass::Miss]);
-    j.kv("writeback", ns.classBytes[(int)TrafficClass::WriteBack]);
-    j.kv("shared", ns.classBytes[(int)TrafficClass::Shared]);
-    j.endObj();
-    j.endObj();
-
-    const auto &ps = sys.pdesStats();
-    if (ps.domains != 0) {
-        j.beginObj("pdes");
-        j.kv("domains", static_cast<std::uint64_t>(ps.domains));
-        j.kv("jobs", static_cast<std::uint64_t>(ps.jobs));
-        j.kvStr("sync", ps.adaptive ? "adaptive" : "fixed");
-        j.kv("lookahead", ps.lookahead);
-        j.kv("windows", ps.windows);
-        j.kv("phases", ps.phases);
-        j.kv("mailbox_messages", ps.mailboxMessages);
-        j.kv("idle_domain_skips", ps.idleDomainSkips);
-        j.kv("empty_broadcasts_skipped", ps.emptyBroadcastsSkipped);
-        jsonDistribution(j, "window_width", ps.windowWidth);
-        j.endObj();
-    }
-
-    // Epoch time series: one parallel array per probe plus the derived
-    // nstid_lag (tids issued minus the slowest directory's NSTID - the
-    // commit pipeline's depth over time).
-    if (const MetricsSampler *m = sys.metricsSampler()) {
-        j.beginObj("metrics");
-        j.kv("epoch", m->epochLength());
-        j.kv("epochs_closed", m->closed());
-        j.kv("epochs_dropped", m->dropped());
-        j.kv("first_epoch", m->firstEpoch());
-        j.beginObj("series");
-        for (std::size_t p = 0; p < m->probeCount(); ++p) {
-            j.beginArr(m->probeName(p));
-            for (std::size_t r = 0; r < m->rows(); ++r)
-                j.kv(nullptr, m->at(r, p));
-            j.endArr();
-        }
-        const int issued = m->probeIndex("tids_issued");
-        const int nstid = m->probeIndex("nstid_min");
-        if (issued >= 0 && nstid >= 0) {
-            j.beginArr("nstid_lag");
-            for (std::size_t r = 0; r < m->rows(); ++r) {
-                const std::uint64_t hi =
-                    m->at(r, static_cast<std::size_t>(issued));
-                const std::uint64_t lo =
-                    m->at(r, static_cast<std::size_t>(nstid));
-                j.kv(nullptr, hi > lo ? hi - lo : 0);
-            }
-            j.endArr();
-        }
-        j.endObj();
-        j.endObj();
-    }
-
-    // Conflict attribution: hot words and the abort blame graph.
-    if (const ContentionProfiler *c = sys.contentionProfiler()) {
-        j.beginObj("contention");
-        j.kv("top_k", static_cast<std::uint64_t>(c->topK()));
-        j.kv("conflicts", c->conflictsRecorded());
-        j.kv("evictions", c->evictions());
-        j.beginArr("hot_words");
-        for (const auto &w : c->hotWords()) {
-            j.beginObj();
-            j.kv("addr", w.addr);
-            j.kv("sr_conflicts", w.s.srConflicts);
-            j.kv("sm_conflicts", w.s.smConflicts);
-            j.kv("aborts", w.s.aborts);
-            j.kv("wasted_cycles", w.s.wasted);
-            j.endObj();
-        }
-        j.endArr();
-        j.beginArr("blame_edges");
-        for (const auto &e : c->blameEdges()) {
-            j.beginObj();
-            j.kv("killer", static_cast<std::uint64_t>(e.killer));
-            j.kv("victim", static_cast<std::uint64_t>(e.victim));
-            j.kv("count", e.count);
-            j.endObj();
-        }
-        j.endArr();
-        j.endObj();
-    }
-
-    j.beginArr("procs");
-    for (NodeId p = 0; p < sys.numProcs(); ++p) {
-        const auto &s = sys.proc(p).stats();
-        j.beginObj();
-        j.kv("node", static_cast<std::uint64_t>(p));
-        j.kv("useful_cycles", s.usefulCycles);
-        j.kv("miss_cycles", s.missCycles);
-        j.kv("commit_cycles", s.commitCycles);
-        j.kv("idle_cycles", s.idleCycles);
-        j.kv("violation_cycles", s.violationCycles);
-        j.kv("txns_committed", s.txnsCommitted);
-        j.kv("violations", s.violations);
-        j.kv("overflows", s.overflows);
-        j.kv("solo_commits", s.soloCommits);
-        j.kv("drains", s.drains);
-        j.kv("tid_requests", s.tidRequests);
-        j.kv("value_validation_failures", s.valueValidationFailures);
-        jsonDistribution(j, "txn_instructions", s.txnInstructions);
-        jsonDistribution(j, "commit_latency", s.commitLatency);
-        jsonDistribution(j, "dirs_per_commit", s.dirsPerCommit);
-        jsonDistribution(j, "dirs_touched_per_commit",
-                         s.dirsTouchedPerCommit);
-        jsonDistribution(j, "multicast_nic_per_commit",
-                         s.multicastNicPerCommit);
-
-        const auto &cs = sys.proc(p).cache().stats();
-        j.beginObj("cache");
-        j.kv("loads", cs.loads);
-        j.kv("stores", cs.stores);
-        j.kv("l1_hits", cs.l1Hits);
-        j.kv("l2_hits", cs.l2Hits);
-        j.kv("misses", cs.misses);
-        j.kv("fills", cs.fills);
-        j.kv("dirty_evictions", cs.dirtyEvictions);
-        j.kv("overflows", cs.overflows);
-        j.kv("ghosts", cs.ghostsCreated);
-        j.endObj();
-        j.endObj();
-    }
-    j.endArr();
-
-    j.beginArr("dirs");
-    for (NodeId d = 0; d < sys.numProcs(); ++d) {
-        const auto &s = sys.directory(d).stats();
-        j.beginObj();
-        j.kv("node", static_cast<std::uint64_t>(d));
-        j.kv("nstid", sys.directory(d).nstid());
-        j.kv("loads_served", s.loadsServed);
-        j.kv("loads_stalled", s.loadsStalled);
-        j.kv("loads_forwarded", s.loadsForwarded);
-        j.kv("skips", s.skipsReceived);
-        j.kv("commits", s.commitsServed);
-        j.kv("partial_commits", s.partialCommitsServed);
-        j.kv("aborts", s.abortsServed);
-        j.kv("invalidations", s.invalidationsSent);
-        j.kv("writebacks_accepted", s.writeBacksAccepted);
-        j.kv("writebacks_dropped", s.writeBacksDropped);
-        j.kv("marks", s.marksReceived);
-        j.kv("probes_deferred", s.probesDeferred);
-        j.kv("dir_cache_misses", s.dirCacheMisses);
-        j.kv("busy_cycles", s.busyCycles);
-        j.kv("entries",
-             static_cast<std::uint64_t>(sys.directory(d).numEntries()));
-        jsonDistribution(j, "commit_occupancy", s.commitOccupancy);
-        jsonDistribution(j, "working_set", s.workingSet);
-        j.endObj();
-    }
-    j.endArr();
-
-    std::vector<TxLedgerEntry> ledger;
-    if (sys.traceRecorder().captured() != 0)
-        ledger = buildTxLedger(sys.traceRecorder());
-
-    j.beginArr("tx_ledger");
-    for (const TxLedgerEntry &e : ledger) {
-        j.beginObj();
-        j.kv("tid", e.tid);
-        j.kv("node", static_cast<std::uint64_t>(e.node));
-        j.kv("begin_tick", e.beginTick);
-        j.kv("exec_cycles", e.execCycles());
-        j.kv("commit_cycles", e.commitCycles());
-        j.kv("retries", static_cast<std::uint64_t>(e.retries));
-        j.kv("probes", e.probeCount);
-        j.kv("probe_rtt_mean", e.probeRttMean());
-        j.kv("probe_rtt_max", e.probeRttMax);
-        j.kv("mark_to_commit", e.markToCommitCycles());
-        j.kv("skip_to_commit", e.skipToCommitCycles());
-        j.kv("directories_touched", e.directoriesTouched);
-        j.kv("multicast_events", e.multicastEvents);
-        j.kvBool("has_violation", e.hasViolation);
-        if (e.hasViolation) {
-            j.kv("violation_addr", e.violationAddr);
-            j.kv("violation_writer", e.violationWriter);
-            j.beginArr("causes");
-            for (const auto &[addr, n] : e.causes) {
-                j.beginObj();
-                j.kv("addr", addr);
-                j.kv("count", static_cast<std::uint64_t>(n));
-                j.endObj();
-            }
-            j.endArr();
-        }
-        j.endObj();
-    }
-    j.endArr();
-
-    // Cross-commit fan-out distributions: directories touched per
-    // commit and NIC-serialized multicast cost per commit.
-    {
-        Distribution dirs, mcast;
-        for (const TxLedgerEntry &e : ledger) {
-            dirs.sample(static_cast<double>(e.directoriesTouched));
-            mcast.sample(static_cast<double>(e.multicastEvents));
-        }
-        j.beginObj("tx_ledger_summary");
-        j.beginObj("directories_touched");
-        j.kv("count", static_cast<std::uint64_t>(dirs.count()));
-        if (dirs.count() != 0) {
-            j.kv("mean", dirs.mean());
-            j.kv("p50", dirs.percentile(50));
-            j.kv("p99", dirs.percentile(99));
-        }
-        j.endObj();
-        j.beginObj("multicast_events");
-        j.kv("count", static_cast<std::uint64_t>(mcast.count()));
-        if (mcast.count() != 0) {
-            j.kv("mean", mcast.mean());
-            j.kv("p50", mcast.percentile(50));
-            j.kv("p99", mcast.percentile(99));
-        }
-        j.endObj();
-        // Ledger-wide violation-cause histogram (count desc, addr asc).
-        j.beginArr("violation_causes");
-        for (const auto &[addr, n] : aggregateCauses(ledger)) {
-            j.beginObj();
-            j.kv("addr", addr);
-            j.kv("count", n);
-            j.endObj();
-        }
-        j.endArr();
-        j.endObj();
-    }
-
-    j.endObj();
+    writeJson(os, buildStatsTree(sys));
     os << "\n";
 }
 

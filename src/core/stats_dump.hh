@@ -1,8 +1,9 @@
 /**
  * @file
  * Full statistics dump, in the spirit of gem5's stats.txt: every
- * counter the simulator keeps, rendered as "name value" lines grouped
- * by component. Meant for regression diffing and offline analysis.
+ * counter the simulator keeps, built once as an ordered tree and
+ * rendered either as nested JSON or as flat "dotted.path value" text.
+ * Meant for regression diffing and offline analysis.
  */
 
 #ifndef TCC_CORE_STATS_DUMP_HH
@@ -15,26 +16,38 @@
 namespace tcc {
 
 /**
- * Write every statistic of @p sys to @p os:
- *   system.*            run-level aggregates
- *   network.*           message/byte/hop counters by traffic class
- *   proc<N>.*           per-processor breakdown + transaction stats
- *   dir<N>.*            per-directory protocol counters
- *   tx_ledger.*         per-transaction lifecycle (when traced)
+ * Both dumps render one ordered tree of every statistic of a System,
+ * built on demand by buildStatsTree() in stats_dump.cc - the only code
+ * that names a statistic - so the two formats cannot drift. The
+ * top-level shape, in order:
+ *
+ *   config              resolved configuration (network, checkers)
+ *   system              run-level aggregates
+ *   network             message/byte/hop counters by traffic class
+ *   pdes                parallel-engine counters (PDES runs only)
+ *   metrics             epoch summary + per-probe series (when armed)
+ *   contention          hot words + abort blame graph (when armed)
+ *   procs[]             per-processor breakdown + transaction stats
+ *   dirs[]              per-directory protocol counters
+ *   tx_ledger[]         per-transaction lifecycle (empty unless the
+ *                       Proc + Commit trace categories were enabled)
+ *   tx_ledger_summary   ledger-wide fan-out and violation causes
+ *
+ * Nothing on the run path touches it.
+ */
+
+/**
+ * The tree flattened to text between begin/end banner lines: one
+ * "dotted.path value" line per leaf, where object keys and array
+ * indices are the path segments, plus one "<path>.count N" line ahead
+ * of each array's elements. Flags print as 1/0, names unquoted.
  */
 void dumpStats(const System &sys, std::ostream &os);
 
 /**
- * The same statistics tree as machine-readable JSON: nested objects
- * with stable key order and fixed double formatting ("%.6g"), so the
- * output of a deterministic run is byte-identical across platforms.
- * Top-level shape:
- *
- *   { "system": {...}, "network": {...},
- *     "procs": [...], "dirs": [...], "tx_ledger": [...] }
- *
- * tx_ledger entries come from obs/tx_ledger.hh and are empty unless
- * the Proc + Commit trace categories were enabled during the run.
+ * The tree as nested JSON on one line: stable key order and fixed
+ * number formatting (integers exact, doubles "%.6g"), so the output
+ * of a deterministic run is byte-identical across platforms.
  */
 void dumpStatsJson(const System &sys, std::ostream &os);
 

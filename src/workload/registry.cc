@@ -1,7 +1,9 @@
 #include "workload/registry.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <limits>
 
 #include "busbaseline/bus_tcc.hh"
 #include "common/log.hh"
@@ -12,12 +14,16 @@ namespace tcc {
 
 namespace {
 
+/** Parse the whole of @p value as an unsigned decimal no larger than
+ *  @p max: a sign, trailing junk or an out-of-range value is fatal. */
 std::uint64_t
-parseU64(const std::string &key, const std::string &value)
+parseU64(const std::string &key, const std::string &value,
+         std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
 {
-    char *end = nullptr;
-    const unsigned long long v = std::strtoull(value.c_str(), &end, 10);
-    if (end == value.c_str() || *end != '\0')
+    std::uint64_t v = 0;
+    const char *end = value.data() + value.size();
+    const auto [ptr, ec] = std::from_chars(value.data(), end, v);
+    if (ec != std::errc() || ptr != end || v > max)
         fatal("workload override %s: bad integer '%s'", key.c_str(),
               value.c_str());
     return v;
@@ -26,7 +32,8 @@ parseU64(const std::string &key, const std::string &value)
 std::uint32_t
 parseU32(const std::string &key, const std::string &value)
 {
-    return static_cast<std::uint32_t>(parseU64(key, value));
+    return static_cast<std::uint32_t>(
+        parseU64(key, value, std::numeric_limits<std::uint32_t>::max()));
 }
 
 double
@@ -126,8 +133,8 @@ applyDataStruct(DataStructParams &p, const std::string &name,
             p.phases.push_back(p.phases.back());
         p.phases.resize(n);
     } else if (key == "flash_key") {
-        p.phases.back().flashKey =
-            static_cast<std::int64_t>(parseU64(key, value));
+        p.phases.back().flashKey = static_cast<std::int64_t>(parseU64(
+            key, value, std::numeric_limits<std::int64_t>::max()));
     } else if (key == "flash_frac")
         p.phases.back().flashFrac = parseF64(key, value);
     else
@@ -216,8 +223,9 @@ makeSynthetic(const AppProfile &prof, std::uint64_t seed,
 {
     WorkloadBundle b;
     b.name = prof.name;
-    // Region order mirrors the legacy setupApp() binding order so a
-    // registry-built run is bit-identical to the legacy path.
+    // Region order is the bind order, which fixes the homing and so
+    // the run: private and shared slices per processor, then the hot
+    // words round-robin across nodes.
     for (NodeId p = 0; p < num_procs; ++p) {
         b.footprint.regions.push_back(
             {"private" + std::to_string(p),

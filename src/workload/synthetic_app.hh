@@ -27,11 +27,11 @@
 #define TCC_WORKLOAD_SYNTHETIC_APP_HH
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/system.hh"
+#include "common/types.hh"
 #include "sim/random.hh"
 #include "workload/transaction_source.hh"
 
@@ -136,13 +136,6 @@ class SyntheticSource : public TransactionSource
     std::uint32_t txnInPhase = 0;
     std::uint64_t txnsGenerated = 0;
 };
-
-/**
- * Bind the workload's memory regions to their home nodes and build one
- * SyntheticSource per processor, attached to the system.
- */
-std::vector<std::unique_ptr<SyntheticSource>>
-setupApp(System &sys, const AppProfile &profile, std::uint64_t seed);
 
 } // namespace tcc
 

@@ -17,7 +17,7 @@
 
 #include "core/system.hh"
 #include "workload/scripted_source.hh"
-#include "workload/synthetic_app.hh"
+#include "workload/registry.hh"
 
 namespace tcc {
 namespace {
@@ -165,10 +165,11 @@ TEST(KernelDeterminism, SyntheticAppRunsAreBitIdentical)
         SystemConfig cfg;
         cfg.numProcs = 8;
         System sys(cfg);
-        AppProfile prof = appProfile("water_spatial");
-        prof.txnsPerPhase = 64;
-        prof.phases = 2;
-        auto sources = setupApp(sys, prof, /*seed=*/7);
+        WorkloadParams wl;
+        wl.set("txns_per_phase", "64").set("phases", "2");
+        const WorkloadBundle b =
+            makeWorkload("water_spatial", wl, /*seed=*/7, cfg.numProcs);
+        b.attach(sys);
         auto res = sys.run();
         EXPECT_TRUE(res.completed);
         return fingerprint(sys, res);

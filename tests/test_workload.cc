@@ -9,6 +9,7 @@
 
 #include "core/system.hh"
 #include "sim/stats.hh"
+#include "workload/registry.hh"
 #include "workload/synthetic_app.hh"
 
 namespace tcc {
@@ -123,10 +124,10 @@ TEST(SyntheticApp, EndToEndSerializableOnFourProcs)
 
     // A shrunken high-conflict profile keeps the test fast while still
     // exercising violations.
-    AppProfile prof = appProfile("volrend");
-    prof.txnsPerPhase = 64;
-    prof.phases = 2;
-    auto sources = setupApp(sys, prof, 42);
+    WorkloadParams wl;
+    wl.set("txns_per_phase", "64").set("phases", "2");
+    const WorkloadBundle b = makeWorkload("volrend", wl, 42, cfg.numProcs);
+    b.attach(sys);
 
     const RunResult res = sys.run(/*max_ticks=*/50'000'000);
     ASSERT_TRUE(res.completed);
@@ -145,12 +146,13 @@ TEST(SyntheticApp, HighConflictStillLivelockFree)
     cfg.check.invariants = true;
     System sys(cfg);
 
-    AppProfile prof = appProfile("cluster_ga");
-    prof.conflictProb = 0.9; // nearly every transaction contends
-    prof.hotWords = 4;       // on four words
-    prof.txnsPerPhase = 64;
-    prof.phases = 2;
-    auto sources = setupApp(sys, prof, 9);
+    WorkloadParams wl;
+    wl.set("conflict_prob", "0.9")  // nearly every transaction contends
+        .set("hot_words", "4")      // on four words
+        .set("txns_per_phase", "64")
+        .set("phases", "2");
+    const WorkloadBundle b = makeWorkload("cluster_ga", wl, 9, cfg.numProcs);
+    b.attach(sys);
 
     const RunResult res = sys.run(/*max_ticks=*/200'000'000);
     ASSERT_TRUE(res.completed) << "possible livelock";
