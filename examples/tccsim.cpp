@@ -457,9 +457,8 @@ main(int argc, char **argv)
         }
     }
 
-    if (const auto *chaos =
-            dynamic_cast<const ChaosNetwork *>(&sys.network())) {
-        const ChaosNetwork::ChaosStats &cs = chaos->chaosStats();
+    if (cfg.network.model == NetworkConfig::Model::Chaos) {
+        const ChaosStats cs = sys.chaosStats();
         std::printf("\nchaos: %llu messages, %llu duplicated, "
                     "%llu held for reorder, max extra delay %llu\n",
                     (unsigned long long)cs.messages,

@@ -146,8 +146,7 @@ addConfig(StatNode &root, const SystemConfig &cfg)
         net.add("duplicate_prob", chaos.duplicateProb);
         net.add("duplicate_lag", chaos.duplicateLag);
     }
-    if (model == NetworkConfig::Model::Ideal ||
-        (model == NetworkConfig::Model::Chaos && chaos.overIdeal)) {
+    if (!cfg.network.meshBased()) {
         net.add("ideal_latency", cfg.network.idealLatency);
     } else {
         net.add("hop_latency", cfg.network.mesh.hopLatency);

@@ -14,10 +14,7 @@ SystemConfig::validate() const
 {
     if (numProcs == 0)
         return "a system needs at least one processor";
-    const bool uses_mesh =
-        network.model == NetworkConfig::Model::Mesh ||
-        (network.model == NetworkConfig::Model::Chaos &&
-         !network.chaos.overIdeal);
+    const bool uses_mesh = network.meshBased();
     if (uses_mesh) {
         if (network.mesh.linkBytesPerCycle == 0)
             return "mesh linkBytesPerCycle must be nonzero";
@@ -31,11 +28,7 @@ SystemConfig::validate() const
                    "topology); use chaos over the ideal network for "
                    "odd sizes";
     }
-    const bool uses_ideal =
-        network.model == NetworkConfig::Model::Ideal ||
-        (network.model == NetworkConfig::Model::Chaos &&
-         network.chaos.overIdeal);
-    if (uses_ideal && network.model == NetworkConfig::Model::Chaos &&
+    if (!uses_mesh && network.model == NetworkConfig::Model::Chaos &&
         network.idealLatency == 0) {
         return "chaos over an ideal base needs idealLatency >= 1: "
                "zero-latency delivery leaves no window for jitter or "
@@ -76,7 +69,7 @@ SystemConfig::validate() const
                    "assignment is an artifact of the global access "
                    "order, which a partitioned run does not have";
         }
-        if (uses_ideal && network.idealLatency == 0) {
+        if (!uses_mesh && network.idealLatency == 0) {
             return "PDES over an ideal network needs idealLatency >= "
                    "1: the latency is the lookahead window, and a "
                    "zero-width window cannot make progress";
@@ -107,18 +100,10 @@ buildNetwork(const SystemConfig &cfg, EventQueue &eventq, Arena *arena)
       case NetworkConfig::Model::Mesh:
         return std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
                                              nc.mesh, arena);
-      case NetworkConfig::Model::Chaos: {
-        std::unique_ptr<Network> base;
-        if (nc.chaos.overIdeal) {
-            base = std::make_unique<IdealNetwork>(
-                eventq, cfg.numProcs, nc.idealLatency, arena);
-        } else {
-            base = std::make_unique<MeshNetwork>(eventq, cfg.numProcs,
-                                                 nc.mesh, arena);
-        }
-        return std::make_unique<ChaosNetwork>(
-            eventq, cfg.numProcs, std::move(base), nc.chaos, arena);
-      }
+      case NetworkConfig::Model::Chaos:
+        return std::make_unique<ChaosNetwork>(eventq, cfg.numProcs,
+                                              nc.chaos, nc.mesh,
+                                              nc.idealLatency, arena);
     }
     panic("unknown network model");
 }
@@ -134,9 +119,6 @@ System::System(const SystemConfig &cfg)
 
     net = buildNetwork(cfg, eventq, &arena);
     net->setMulticast(cfg.network.multicast);
-
-    // Only the outermost network traces: a chaos wrapper's base would
-    // otherwise emit every NetDeliver twice.
     net->setTraceRecorder(&tracer);
 
     if (cfg.pdes.domains > 1)
@@ -152,21 +134,8 @@ System::System(const SystemConfig &cfg)
     tidVendor = std::make_unique<TidVendor>(0, eventq, *net,
                                             cfg.tidVendorLatency);
 
-    DirectoryConfig dir_cfg = cfg.directory;
-    dir_cfg.lineBytes = cfg.cache.lineBytes;
-    dir_cfg.writeThroughCommit = cfg.writeThroughCommit;
-    ProcessorConfig proc_cfg = cfg.processor;
-    proc_cfg.writeThroughCommit = cfg.writeThroughCommit;
     for (NodeId n = 0; n < cfg.numProcs; ++n) {
-        dirs.push_back(std::make_unique<Directory>(
-            n, cfg.numProcs, eventq, *net, dir_cfg, &arena));
-        procs.push_back(std::make_unique<TccProcessor>(
-            n, cfg.numProcs, eventq, *net, homes, store, cfg.cache,
-            proc_cfg, /*vendor_node=*/0, &arena));
-        dirs.back()->setTraceRecorder(&tracer);
-        procs.back()->setTraceRecorder(&tracer);
-        dirs.back()->setInvariantChecker(invariants.get());
-        procs.back()->setInvariantChecker(invariants.get());
+        addNode(n, eventq, *net, store, tracer, invariants.get(), arena);
         procs.back()->setBarrier(
             [this](NodeId node, std::function<void()> resume) {
                 barrierArrive(node, std::move(resume));
@@ -182,9 +151,6 @@ System::System(const SystemConfig &cfg)
                     serialChecker.record(tid, proc, reads, writes);
                 });
         }
-        net->connect(n, [this, n](const Message &msg) {
-            dispatch(n, msg);
-        });
     }
 
     if (cfg.trace.metricsEpoch != 0) {
@@ -201,6 +167,43 @@ System::System(const SystemConfig &cfg)
 }
 
 System::~System() = default;
+
+void
+System::addNode(NodeId n, EventQueue &eq, Network &nw, GlobalStore &mem,
+                TraceRecorder &ring, InvariantChecker *checker, Arena &ar)
+{
+    DirectoryConfig dir_cfg = config.directory;
+    dir_cfg.lineBytes = config.cache.lineBytes;
+    dir_cfg.writeThroughCommit = config.writeThroughCommit;
+    ProcessorConfig proc_cfg = config.processor;
+    proc_cfg.writeThroughCommit = config.writeThroughCommit;
+    dirs.push_back(std::make_unique<Directory>(n, config.numProcs, eq, nw,
+                                               dir_cfg, &ar));
+    procs.push_back(std::make_unique<TccProcessor>(
+        n, config.numProcs, eq, nw, homes, mem, config.cache, proc_cfg,
+        /*vendor_node=*/0, &ar));
+    dirs.back()->setTraceRecorder(&ring);
+    procs.back()->setTraceRecorder(&ring);
+    dirs.back()->setInvariantChecker(checker);
+    procs.back()->setInvariantChecker(checker);
+    nw.connect(n, [this, n](const Message &msg) { dispatch(n, msg); });
+}
+
+ChaosStats
+System::chaosStats() const
+{
+    ChaosStats sum;
+    auto add = [&sum](const Network &n) {
+        if (const ChaosModel *m = n.chaosModel())
+            sum.merge(m->stats());
+    };
+    add(*net); // carries no traffic under PDES
+    if (pdesState) {
+        for (const auto &d : pdesState->domains)
+            add(*d->net);
+    }
+    return sum;
+}
 
 void
 System::registerMetricProbes(MetricsSampler &m, NodeId first,
@@ -268,13 +271,9 @@ void
 System::buildPdes()
 {
     const NetworkConfig &nc = config.network;
-    const bool mesh_based =
-        nc.model == NetworkConfig::Model::Mesh ||
-        (nc.model == NetworkConfig::Model::Chaos &&
-         !nc.chaos.overIdeal);
     PdesPlan plan = computePdesPlan(config.numProcs,
                                     config.pdes.domains,
-                                    config.pdes.window, mesh_based,
+                                    config.pdes.window, nc.meshBased(),
                                     nc.mesh, nc.idealLatency);
     if (plan.domains.size() < 2)
         return; // partition collapsed (tiny machine): serial engine
@@ -282,19 +281,11 @@ System::buildPdes()
     pdesState = std::make_unique<PdesState>(std::move(plan));
     PdesState &st = *pdesState;
 
-    DomainNetConfig dnc;
-    dnc.meshBased = mesh_based;
-    dnc.mesh = nc.mesh;
-    dnc.idealLatency = nc.idealLatency;
-    dnc.chaos = nc.model == NetworkConfig::Model::Chaos;
-    dnc.chaosCfg = nc.chaos;
-
     for (const DomainSpec &spec : st.plan.domains) {
         auto d = std::make_unique<PdesDomain>(spec,
                                               config.trace.capacity);
         d->net = std::make_unique<DomainNet>(
-            d->eq, config.numProcs, spec, st.plan, dnc, &d->arena);
-        d->net->setMulticast(nc.multicast);
+            d->eq, config.numProcs, spec, st.plan, nc, &d->arena);
         d->net->setTraceRecorder(&d->tracer);
         if (config.check.invariants) {
             d->checker = std::make_unique<InvariantChecker>(
@@ -310,22 +301,10 @@ System::buildPdes()
     tidVendor = std::make_unique<TidVendor>(0, d0.eq, *d0.net,
                                             config.tidVendorLatency);
 
-    DirectoryConfig dir_cfg = config.directory;
-    dir_cfg.lineBytes = config.cache.lineBytes;
-    dir_cfg.writeThroughCommit = config.writeThroughCommit;
-    ProcessorConfig proc_cfg = config.processor;
-    proc_cfg.writeThroughCommit = config.writeThroughCommit;
     for (NodeId n = 0; n < config.numProcs; ++n) {
         PdesDomain *d = st.domains[st.plan.nodeDomain[n]].get();
-        dirs.push_back(std::make_unique<Directory>(
-            n, config.numProcs, d->eq, *d->net, dir_cfg, &d->arena));
-        procs.push_back(std::make_unique<TccProcessor>(
-            n, config.numProcs, d->eq, *d->net, homes, d->store,
-            config.cache, proc_cfg, /*vendor_node=*/0, &d->arena));
-        dirs.back()->setTraceRecorder(&d->tracer);
-        procs.back()->setTraceRecorder(&d->tracer);
-        dirs.back()->setInvariantChecker(d->checker.get());
-        procs.back()->setInvariantChecker(d->checker.get());
+        addNode(n, d->eq, *d->net, d->store, d->tracer, d->checker.get(),
+                d->arena);
         // Cross-domain effects defer to the window barrier: arrivals
         // and done-hooks buffer in the domain, and the coordinator
         // merges them in domain-id order between windows.
@@ -343,9 +322,6 @@ System::buildPdes()
                         tid, proc, reads, writes});
                 });
         }
-        d->net->connect(n, [this, n](const Message &msg) {
-            dispatch(n, msg);
-        });
     }
 
     // Observability layers: one private instance per domain, touched

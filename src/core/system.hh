@@ -45,28 +45,6 @@
 
 namespace tcc {
 
-/** Interconnect selection and per-model parameters. */
-struct NetworkConfig {
-    enum class Model : std::uint8_t {
-        Mesh,  ///< 2D mesh, XY routing (the paper's interconnect)
-        Ideal, ///< fixed-latency, infinite bandwidth (unit tests)
-        Chaos, ///< adversarial wrapper over Mesh or Ideal (see chaos)
-    };
-    Model model = Model::Mesh;
-    /** Mesh parameters (Model::Mesh, and Chaos over a mesh base). */
-    MeshConfig mesh;
-    /** Fixed latency (Model::Ideal, and Chaos over an ideal base). */
-    Tick idealLatency = 1;
-    /** Fault-injection parameters (Model::Chaos). chaos.overIdeal
-     *  picks the base network the faults are layered on. */
-    ChaosConfig chaos;
-    /** Commit fan-out strategy: flat per-destination sends (default,
-     *  the paper's model) or a k-ary combining tree embedded in the
-     *  mesh (Model::Mesh only; see noc/network.hh and DESIGN.md
-     *  section 12). */
-    MulticastConfig multicast;
-};
-
 /** Correctness-checker selection. */
 struct CheckConfig {
     /** Record commit logs and verify serializability after the run
@@ -356,6 +334,10 @@ class System
         return contentionProf.get();
     }
 
+    /** What the chaos transport injected so far, summed over the
+     *  PDES domains (all zero unless NetworkConfig::Model::Chaos). */
+    ChaosStats chaosStats() const;
+
     /** PDES stats of the last run() (all zero for serial-engine runs
      *  or before any run); the copy dumpStats reads post-hoc. */
     const RunResult::PdesRunStats &pdesStats() const
@@ -387,6 +369,11 @@ class System
     void dispatch(NodeId node, const Message &msg);
     void barrierArrive(NodeId node, std::function<void()> resume);
     void checkBarrierRelease();
+    /** Build node @p n's directory and processor on one engine's state
+     *  and connect them to @p nw (the wiring both engines share). */
+    void addNode(NodeId n, EventQueue &eq, Network &nw, GlobalStore &mem,
+                 TraceRecorder &ring, InvariantChecker *checker,
+                 Arena &ar);
 
     // --- PDES engine (sim/domain.hh; DESIGN.md section 11) ----------
     void buildPdes();

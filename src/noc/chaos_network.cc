@@ -20,39 +20,24 @@ chaosDuplicable(MsgType t)
 ChaosConfig
 chaosPreset(const std::string &name)
 {
-    ChaosConfig cfg;
-    if (name == "light") {
-        cfg.jitter = 3;
-        cfg.reorderProb = 0.10;
-        cfg.reorderWindow = 8;
-        cfg.duplicateProb = 0.0;
-    } else if (name == "jitter") {
-        cfg.jitter = 12;
-        cfg.reorderProb = 0.0;
-        cfg.reorderWindow = 0;
-        cfg.duplicateProb = 0.0;
-    } else if (name == "reorder") {
-        cfg.jitter = 4;
-        cfg.reorderProb = 0.5;
-        cfg.reorderWindow = 32;
-        cfg.duplicateProb = 0.0;
-    } else if (name == "dup") {
-        cfg.jitter = 2;
-        cfg.reorderProb = 0.1;
-        cfg.reorderWindow = 8;
-        cfg.duplicateProb = 0.2;
-    } else if (name == "heavy") {
-        cfg.jitter = 10;
-        cfg.reorderProb = 0.4;
-        cfg.reorderWindow = 40;
-        cfg.duplicateProb = 0.1;
-        cfg.duplicateLag = 17;
-    } else {
-        fatal("unknown chaos preset '%s' (try: light, jitter, reorder, "
-              "dup, heavy)",
-              name.c_str());
+    // In chaosPresetNames() order.
+    static const ChaosConfig presets[] = {
+        {.jitter = 3, .reorderProb = 0.10, .reorderWindow = 8},
+        {.jitter = 12, .reorderProb = 0.0, .reorderWindow = 0},
+        {.jitter = 4, .reorderProb = 0.5, .reorderWindow = 32},
+        {.jitter = 2, .reorderProb = 0.1, .reorderWindow = 8,
+         .duplicateProb = 0.2},
+        {.jitter = 10, .reorderProb = 0.4, .reorderWindow = 40,
+         .duplicateProb = 0.1, .duplicateLag = 17},
+    };
+    const auto &names = chaosPresetNames();
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        if (name == names[i])
+            return presets[i];
     }
-    return cfg;
+    fatal("unknown chaos preset '%s' (try: light, jitter, reorder, "
+          "dup, heavy)",
+          name.c_str());
 }
 
 const std::vector<std::string> &
@@ -63,62 +48,78 @@ chaosPresetNames()
     return names;
 }
 
-ChaosNetwork::ChaosNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                           std::unique_ptr<Network> base_net,
-                           const ChaosConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), inner(std::move(base_net)),
-      config(cfg), rng(cfg.seed), dupPool(arena)
+void
+ChaosStats::merge(const ChaosStats &o)
 {
-    if (!inner)
-        fatal("ChaosNetwork needs a base transport");
-    if (inner->numNodes() != num_nodes)
-        fatal("ChaosNetwork node count (%u) != base transport (%u)",
-              num_nodes, inner->numNodes());
-    // Every base endpoint funnels back into the decorator; the final
-    // hop to the real handler happens in onBaseDeliver.
-    for (NodeId n = 0; n < num_nodes; ++n)
-        inner->connect(n,
-                       [this](const Message &m) { onBaseDeliver(m); });
+    messages += o.messages;
+    duplicates += o.duplicates;
+    reordersHeld += o.reordersHeld;
+    extraDelayTotal += o.extraDelayTotal;
+    maxExtraDelay = std::max(maxExtraDelay, o.maxExtraDelay);
+}
+
+bool
+ChaosModel::duplicates(MsgType t)
+{
+    ++counters.messages;
+    if (cfg.duplicateProb > 0.0 && chaosDuplicable(t) &&
+        rng.chance(cfg.duplicateProb)) {
+        ++counters.duplicates;
+        return true;
+    }
+    return false;
+}
+
+Tick
+ChaosModel::extraDelay()
+{
+    Tick extra = cfg.jitter != 0 ? rng.below(cfg.jitter + 1) : 0;
+    if (cfg.reorderProb > 0.0 && rng.chance(cfg.reorderProb)) {
+        ++counters.reordersHeld;
+        if (cfg.reorderWindow != 0)
+            extra += rng.below(cfg.reorderWindow + 1);
+    }
+    counters.extraDelayTotal += extra;
+    counters.maxExtraDelay = std::max(counters.maxExtraDelay, extra);
+    return extra;
+}
+
+ChaosNetwork::ChaosNetwork(EventQueue &eq, std::uint32_t num_nodes,
+                           const ChaosConfig &cfg, const MeshConfig &mesh_cfg,
+                           Tick ideal_latency, Arena *arena)
+    : Network(eq, num_nodes, arena), model(cfg),
+      idealLatency(ideal_latency)
+{
+    if (!cfg.overIdeal)
+        mesh.emplace(mesh_cfg, num_nodes);
 }
 
 void
 ChaosNetwork::send(Message msg)
 {
-    ++faultStats.messages;
-    if (config.duplicateProb > 0.0 && chaosDuplicable(msg.type) &&
-        rng.chance(config.duplicateProb)) {
-        ++faultStats.duplicates;
-        // The copy enters the base transport duplicateLag cycles
-        // later, so it and the original contend and jitter
-        // independently. Parked in a pool slab to keep the event
-        // capture inline.
-        Message *slot = dupPool.alloc(msg);
-        eventq.schedule(config.duplicateLag, [this, slot]() {
-            inner->send(*slot);
-            dupPool.free(slot);
-        });
+    if (msg.src >= numNodes() || msg.dst >= numNodes())
+        panic("chaos send with bad endpoint %u->%u", msg.src, msg.dst);
+    if (model.duplicates(msg.type)) {
+        // The copy enters the transport duplicateLag cycles later, so
+        // it and the original contend and jitter independently.
+        Message *copy = park(msg);
+        eventq.schedule(model.config().duplicateLag,
+                        [this, copy]() { transmit(copy); });
     }
-    inner->send(std::move(msg));
+    transmit(park(std::move(msg)));
 }
 
 void
-ChaosNetwork::onBaseDeliver(const Message &msg)
+ChaosNetwork::transmit(Message *slot)
 {
-    // Draw the chaos delay for this delivery. Draw order is the base
-    // transport's (deterministic) delivery order, so the whole run is
-    // a function of (seed, config).
-    Tick extra = config.jitter != 0 ? rng.below(config.jitter + 1) : 0;
-    if (config.reorderProb > 0.0 && rng.chance(config.reorderProb)) {
-        ++faultStats.reordersHeld;
-        if (config.reorderWindow != 0)
-            extra += rng.below(config.reorderWindow + 1);
-    }
-    faultStats.extraDelayTotal += extra;
-    faultStats.maxExtraDelay = std::max(faultStats.maxExtraDelay, extra);
-    // Final delivery through the decorator: stats and trace are
-    // accounted here, once per (possibly duplicated) message. The base
-    // transport's own counters stay untouched for diagnostics.
-    deliver(msg, extra, 0);
+    unsigned hops = 1;
+    const Tick flight =
+        mesh ? mesh->flight(*slot, eventq.now(), hops) : idealLatency;
+    // The fault delay is drawn on arrival, in the transport's
+    // (deterministic) arrival order.
+    eventq.schedule(flight, [this, slot, hops]() {
+        deliverParked(slot, model.extraDelay(), hops);
+    });
 }
 
 } // namespace tcc

@@ -1,41 +1,32 @@
 /**
  * @file
- * Fault-injection network decorator ("chaos network").
+ * The fault model ("chaos") and the serial engine's faulty transport.
  *
- * ChaosNetwork wraps any transport (Mesh or Ideal) and perturbs its
- * delivery schedule under a seeded deterministic random stream:
+ * ChaosModel draws three seeded perturbations: a uniform extra delay
+ * in [0, jitter] per copy; with probability reorderProb, a further
+ * hold of up to reorderWindow cycles that lets later messages overtake
+ * (bounded: reordering, never starvation); and, with probability
+ * duplicateProb, a second copy of an idempotent reply (LoadReply,
+ * ProbeReply) lagging duplicateLag cycles. Request/ack types are never
+ * duplicated: a transport that duplicates those breaks exactly-once
+ * semantics the protocol (per the paper) need not defend against.
  *
- *  - per-message latency jitter: every message picks up an extra
- *    uniform delay in [0, jitter] cycles after the base transport
- *    delivers it;
- *  - bounded reordering: with probability reorderProb a message is
- *    additionally held for up to reorderWindow cycles, letting later
- *    messages between the same endpoints overtake it (the total extra
- *    delay is bounded by jitter + reorderWindow, so reordering is
- *    bounded, never starvation);
- *  - duplication of idempotent replies: with probability duplicateProb
- *    a LoadReply or ProbeReply is sent twice, the copy lagging by
- *    duplicateLag cycles. Only reply types the protocol tolerates
- *    receiving twice are eligible - request/ack types (TidReply, Inv,
- *    InvAck, ...) are never duplicated, because a real transport that
- *    duplicates those has genuinely broken exactly-once semantics the
- *    protocol does not (and per the paper need not) defend against.
- *
- * All perturbations are drawn from one Rng seeded from ChaosConfig, and
- * every draw happens inside the deterministic event loop, so a run is a
- * pure function of (seed, config): golden-fingerprint and
- * serial-vs-parallel identity tests keep working with chaos enabled.
- *
- * Where the protocol genuinely requires point-to-point ordering the
- * messages carry explicit tags that restore it (Message::seq on load
- * replies, Message::tid on write-backs and marks); see DESIGN.md
- * section 10 for the full ordering audit.
+ * ChaosNetwork (serial engine) and DomainNet (PDES, sim/domain.hh)
+ * time a message with MeshTiming or the ideal latency and call the
+ * same ChaosModel functions in the same order: duplicates() once per
+ * send, extraDelay() once per copy. The one difference is when
+ * extraDelay() is drawn: ChaosNetwork draws it as the copy arrives,
+ * DomainNet as it is sent, because a PDES parcel needs its final tick
+ * before it enters a mailbox. Every draw happens inside the
+ * deterministic event loop, so a run is a pure function of
+ * (seed, config). DESIGN.md section 10 audits where the protocol
+ * relies on ordering and which message tags restore it.
  */
 
 #ifndef TCC_NOC_CHAOS_NETWORK_HH
 #define TCC_NOC_CHAOS_NETWORK_HH
 
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,24 +34,6 @@
 #include "sim/random.hh"
 
 namespace tcc {
-
-/** Fault-injection knobs; all delays in cycles. */
-struct ChaosConfig {
-    /** Layer the faults on an IdealNetwork instead of the mesh. */
-    bool overIdeal = false;
-    /** Extra uniform delay in [0, jitter] per message. */
-    Tick jitter = 6;
-    /** Probability a message is held for an extra reorder delay. */
-    double reorderProb = 0.25;
-    /** Maximum extra hold for a reordered message. */
-    Tick reorderWindow = 24;
-    /** Probability an idempotent reply is delivered twice. */
-    double duplicateProb = 0.0;
-    /** The duplicate copy enters the transport this much later. */
-    Tick duplicateLag = 9;
-    /** Seed of the fault stream (part of the run fingerprint). */
-    std::uint64_t seed = 0xC7A05;
-};
 
 /** Named fault presets for the CLI / sweep drivers. */
 ChaosConfig chaosPreset(const std::string &name);
@@ -71,46 +44,74 @@ const std::vector<std::string> &chaosPresetNames();
 /** True when the protocol tolerates receiving @p t twice. */
 bool chaosDuplicable(MsgType t);
 
+/** What a ChaosModel injected. */
+struct ChaosStats {
+    std::uint64_t messages = 0;        ///< messages through send()
+    std::uint64_t duplicates = 0;      ///< extra copies injected
+    std::uint64_t reordersHeld = 0;    ///< messages given a hold
+    std::uint64_t extraDelayTotal = 0; ///< sum of injected cycles
+    Tick maxExtraDelay = 0;
+
+    /** Fold another model's counters into these (PDES domains). */
+    void merge(const ChaosStats &o);
+    bool operator==(const ChaosStats &) const = default;
+};
+
+/** The fault draws of one transport endpoint: one seeded Rng stream
+ *  plus the counters of what it injected. */
+class ChaosModel
+{
+  public:
+    explicit ChaosModel(const ChaosConfig &cfg) : cfg(cfg), rng(cfg.seed)
+    {}
+
+    /** Count one sent message and draw whether the transport also
+     *  sends a copy config().duplicateLag cycles later. */
+    bool duplicates(MsgType t);
+
+    /** Draw the extra delay of one copy: the jitter plus, with
+     *  probability reorderProb, a reorder hold. */
+    Tick extraDelay();
+
+    const ChaosConfig &config() const { return cfg; }
+    const ChaosStats &stats() const { return counters; }
+
+  private:
+    ChaosConfig cfg;
+    Rng rng;
+    ChaosStats counters;
+};
+
 /**
- * Network decorator owning the base transport. Endpoint handlers are
- * registered on the decorator; the base transport's endpoints all feed
- * back into the decorator, which applies the extra chaos delay and
- * performs the final delivery (so the System's traffic statistics and
- * protocol trace come from the decorator, once per message).
+ * The serial engine's faulty transport. Each copy takes two events:
+ * its flight (mesh route or ideal latency), then, from its arrival,
+ * the fault delay. Traffic statistics and the NetSend trace are
+ * accounted at the arrival, with the route's hop count.
  */
 class ChaosNetwork : public Network
 {
   public:
-    struct ChaosStats {
-        std::uint64_t messages = 0;     ///< messages through send()
-        std::uint64_t duplicates = 0;   ///< extra copies injected
-        std::uint64_t reordersHeld = 0; ///< messages given a hold
-        std::uint64_t extraDelayTotal = 0; ///< sum of injected cycles
-        Tick maxExtraDelay = 0;
-    };
-
+    /** Faults over a mesh timed by @p mesh, or over the fixed
+     *  @p ideal_latency when cfg.overIdeal. */
     ChaosNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                 std::unique_ptr<Network> base_net,
-                 const ChaosConfig &cfg, Arena *arena = nullptr);
+                 const ChaosConfig &cfg,
+                 const MeshConfig &mesh = MeshConfig{},
+                 Tick ideal_latency = 1, Arena *arena = nullptr);
 
     void send(Message msg) override;
 
-    /** The wrapped transport (diagnostics / tests). */
-    const Network &base() const { return *inner; }
+    const ChaosStats &chaosStats() const { return model.stats(); }
 
-    const ChaosStats &chaosStats() const { return faultStats; }
-
-    const ChaosConfig &chaosCfg() const { return config; }
+    const ChaosModel *chaosModel() const override { return &model; }
 
   private:
-    void onBaseDeliver(const Message &msg);
+    /** Start the transport flight of a parked copy. */
+    void transmit(Message *slot);
 
-    std::unique_ptr<Network> inner;
-    ChaosConfig config;
-    Rng rng;
-    /** Parking slab for the lagged duplicate copies. */
-    ObjectPool<Message> dupPool;
-    ChaosStats faultStats;
+    ChaosModel model;
+    /** Mesh timing; empty over the ideal base. */
+    std::optional<MeshTiming<false>> mesh;
+    Tick idealLatency;
 };
 
 } // namespace tcc

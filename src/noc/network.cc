@@ -6,9 +6,12 @@ namespace tcc {
 
 namespace {
 
-/** Smallest near-square grid that holds @p n nodes. */
+enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
+
+} // namespace
+
 std::uint32_t
-gridSide(std::uint32_t n)
+meshGridSide(std::uint32_t n)
 {
     std::uint32_t c = 1;
     while (c * c < n)
@@ -16,44 +19,11 @@ gridSide(std::uint32_t n)
     return c;
 }
 
-enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
-
-} // namespace
-
-MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
-                         const MeshConfig &cfg, Arena *arena)
-    : Network(eq, num_nodes, arena), config(cfg),
-      gridCols(gridSide(num_nodes)),
-      gridRows((num_nodes + gridSide(num_nodes) - 1) /
-               gridSide(num_nodes)),
-      // Routes may pass through unpopulated grid slots when the node
-      // count is not a perfect square, so size links for the full grid.
-      linkFree(static_cast<std::size_t>(gridCols) * gridRows * 4, 0),
-      jitterRng(cfg.seed)
-{
-    if (config.linkBytesPerCycle == 0)
-        fatal("mesh linkBytesPerCycle must be nonzero");
-}
-
-std::size_t
-MeshNetwork::linkIndex(NodeId n, unsigned dir) const
-{
-    return static_cast<std::size_t>(n) * 4 + dir;
-}
-
-unsigned
-MeshNetwork::hopCount(NodeId a, NodeId b) const
-{
-    const int ax = static_cast<int>(a % gridCols);
-    const int ay = static_cast<int>(a / gridCols);
-    const int bx = static_cast<int>(b % gridCols);
-    const int by = static_cast<int>(b / gridCols);
-    return static_cast<unsigned>(std::abs(ax - bx) + std::abs(ay - by));
-}
-
+template <bool Partitioned>
 Tick
-MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                          Tick start, unsigned &hops)
+MeshTiming<Partitioned>::routeArrival(NodeId from, NodeId to,
+                                      std::uint32_t bytes, Tick start,
+                                      unsigned &hops)
 {
     hops = 0;
     if (from == to) {
@@ -61,9 +31,7 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
         return start + 1;
     }
 
-    const Tick ser = std::max<Tick>(
-        1,
-        (bytes + config.linkBytesPerCycle - 1) / config.linkBytesPerCycle);
+    const Tick ser = serialization(bytes);
 
     // Walk the XY route, advancing time across each link and updating
     // its next-free tick (store-and-forward with contention).
@@ -74,11 +42,17 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
     const int dy = static_cast<int>(to / gridCols);
     NodeId cur = from;
 
+    // y is the row of the link's source slot at every crossing.
     auto cross = [&](unsigned dir, NodeId next) {
-        const std::size_t li = linkIndex(cur, dir);
-        const Tick depart = std::max(t, linkFree[li]);
-        linkFree[li] = depart + ser;
-        t = depart + ser + config.hopLatency + config.routerDelay;
+        if (Partitioned && (static_cast<std::uint32_t>(y) < rowBegin ||
+                            static_cast<std::uint32_t>(y) >= rowEnd)) {
+            t += ser + config.hopLatency + config.routerDelay;
+        } else {
+            Tick &free = linkFree[static_cast<std::size_t>(cur) * 4 + dir];
+            const Tick depart = std::max(t, free);
+            free = depart + ser;
+            t = depart + ser + config.hopLatency + config.routerDelay;
+        }
         cur = next;
         ++hops;
     };
@@ -104,21 +78,30 @@ MeshNetwork::routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
     return t;
 }
 
+template class MeshTiming<false>;
+template class MeshTiming<true>;
+
+MeshNetwork::MeshNetwork(EventQueue &eq, std::uint32_t num_nodes,
+                         const MeshConfig &cfg, Arena *arena)
+    : Network(eq, num_nodes, arena), timing(cfg, num_nodes)
+{}
+
+unsigned
+MeshNetwork::hopCount(NodeId a, NodeId b) const
+{
+    const std::uint32_t c = timing.cols();
+    return static_cast<unsigned>(
+        std::abs(static_cast<int>(a % c) - static_cast<int>(b % c)) +
+        std::abs(static_cast<int>(a / c) - static_cast<int>(b / c)));
+}
+
 void
 MeshNetwork::send(Message msg)
 {
-    const NodeId src = msg.src;
-    const NodeId dst = msg.dst;
-    if (src >= numNodes() || dst >= numNodes())
-        panic("mesh send with bad endpoint %u->%u", src, dst);
-
+    if (msg.src >= numNodes() || msg.dst >= numNodes())
+        panic("mesh send with bad endpoint %u->%u", msg.src, msg.dst);
     unsigned hops = 0;
-    const Tick arrive =
-        routeArrival(src, dst, msg.bytes, eventq.now(), hops);
-    Tick delay = arrive - eventq.now();
-    if (hops != 0 && config.reorderJitter > 0)
-        delay += jitterRng.below(config.reorderJitter + 1);
-
+    const Tick delay = timing.flight(msg, eventq.now(), hops);
     deliver(std::move(msg), delay, hops);
 }
 
@@ -126,66 +109,13 @@ MulticastReceipt
 MeshNetwork::doMulticast(const Message &proto,
                          std::span<const NodeId> dsts)
 {
-    if (mcastCfg.topology != MulticastConfig::Topology::Tree ||
-        dsts.size() < mcastCfg.minDests) {
+    if (!mcastCfg.staged(dsts.size()))
         return Network::doMulticast(proto, dsts);
-    }
-
-    // Combining tree over the destination list (call sites pass it in
-    // ascending node order): the source feeds the first k destinations
-    // directly; destination index p relays to indices (p+1)*k .. +k-1.
-    // Ascending index order is a valid breadth-first schedule (a
-    // parent's index is always below its children's), so one pass
-    // computes every copy's injection and arrival. The whole staging
-    // is resolved analytically at send time against the current link
-    // state - exactly how send() resolves a point-to-point route - so
-    // relays need no forwarding events, and under PDES the tree lives
-    // entirely in the sending domain's timeline.
-    const std::uint32_t k = std::max<std::uint32_t>(2, mcastCfg.fanout);
-    const std::size_t n = dsts.size();
-    const Tick ser = std::max<Tick>(
-        1, (proto.bytes + config.linkBytesPerCycle - 1) /
-               config.linkBytesPerCycle);
-
-    mcArrival.assign(n, 0);
-    mcNicFree.assign(n + 1, 0); // slot 0 = source, i+1 = dsts[i]
-    mcNicPath.assign(n, 0);
-    mcDepth.assign(n, 0);
-
-    MulticastReceipt r;
-    r.dests = static_cast<std::uint32_t>(n);
-    const Tick now = eventq.now();
-    for (std::size_t i = 0; i < n; ++i) {
-        const bool root = i < k;
-        const std::size_t pi = root ? 0 : i / k - 1;
-        const NodeId parent = root ? proto.src : dsts[pi];
-        // A relay re-injects one router pass after the copy reaches it.
-        const Tick ready =
-            root ? now : mcArrival[pi] + config.routerDelay;
-        const std::size_t slot = root ? 0 : pi + 1;
-        const Tick inject = std::max(ready, mcNicFree[slot]);
-        mcNicFree[slot] = inject + ser;
-        unsigned hops = 0;
-        const Tick arrive =
-            routeArrival(parent, dsts[i], proto.bytes, inject, hops);
-        mcArrival[i] = arrive;
-        const std::uint32_t rank = static_cast<std::uint32_t>(
-            root ? i : i - (pi + 1) * k);
-        mcNicPath[i] = (root ? 0 : mcNicPath[pi]) + rank + 1;
-        mcDepth[i] = (root ? 0 : mcDepth[pi]) + 1;
-        if (mcNicPath[i] > r.nicSerialized)
-            r.nicSerialized = mcNicPath[i];
-        if (mcDepth[i] > r.depth)
-            r.depth = mcDepth[i];
-
-        Message copy = proto;
-        copy.dst = dsts[i];
-        Tick delay = arrive - now;
-        if (hops != 0 && config.reorderJitter > 0)
-            delay += jitterRng.below(config.reorderJitter + 1);
-        deliver(std::move(copy), delay, hops);
-    }
-    return r;
+    return timing.treeMulticast(
+        mcastCfg.fanout, proto, dsts, eventq.now(),
+        [this](Message copy, Tick delay, unsigned hops) {
+            deliver(std::move(copy), delay, hops);
+        });
 }
 
 } // namespace tcc

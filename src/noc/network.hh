@@ -1,15 +1,17 @@
 /**
  * @file
  * Interconnection network models. The paper evaluates a 2D grid with
- * 3-cycle links (swept 2-8 in Figure 8); MeshNetwork models that
+ * 3-cycle links (swept 2-8 in Figure 8); MeshTiming models that
  * topology with XY dimension-order routing, per-link serialization and
- * contention. IdealNetwork delivers with a fixed latency and is used in
- * unit tests to isolate protocol logic from network timing.
+ * contention, and MeshNetwork delivers on it. IdealNetwork delivers
+ * with a fixed latency and is used in unit tests to isolate protocol
+ * logic from network timing. NetworkConfig selects the model.
  */
 
 #ifndef TCC_NOC_NETWORK_HH
 #define TCC_NOC_NETWORK_HH
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <span>
@@ -46,6 +48,13 @@ struct MulticastConfig {
      *  back to flat (staging overhead beats serialization savings
      *  only once the fan-out is wide). */
     std::uint32_t minDests = 8;
+
+    /** True when a mesh fan-out to @p dests stages through a tree. */
+    bool
+    staged(std::size_t dests) const
+    {
+        return topology == Topology::Tree && dests >= minDests;
+    }
 };
 
 /** What one multicast cost (ledger + bench accounting). */
@@ -106,6 +115,8 @@ struct NetworkStats {
     }
 };
 
+class ChaosModel; // noc/chaos_network.hh
+
 /**
  * Abstract network: point-to-point message delivery between nodes.
  * Delivery is always asynchronous through the event queue, even with
@@ -163,7 +174,6 @@ class Network
 
     /** Select the fan-out strategy (defaults to Flat). */
     void setMulticast(const MulticastConfig &cfg) { mcastCfg = cfg; }
-    const MulticastConfig &multicastCfg() const { return mcastCfg; }
 
     /** Cumulative traffic statistics. */
     const NetworkStats &stats() const { return netStats; }
@@ -175,9 +185,6 @@ class Network
         netStats = NetworkStats{};
         netStats.nodeBytes.assign(handlers.size(), 0);
     }
-
-    /** In-flight messages currently owned by the pool (diagnostics). */
-    std::size_t messagesInFlight() const { return msgPool.live(); }
 
     /** Attach the System's protocol event ring (may be null). */
     void setTraceRecorder(TraceRecorder *rec) { tracer = rec; }
@@ -199,6 +206,10 @@ class Network
     /** PDES plumbing: fold a domain shim's traffic counters into this
      *  network's (the System-level report reads one stats object). */
     void accumulateStats(const NetworkStats &s) { netStats.merge(s); }
+
+    /** The fault model this endpoint draws from (nullptr when the
+     *  transport injects no faults). */
+    virtual const ChaosModel *chaosModel() const { return nullptr; }
 
   protected:
     /**
@@ -248,8 +259,21 @@ class Network
     void
     deliver(Message msg, Tick delay, unsigned hops)
     {
-        accountSend(msg, hops);
-        Message *slot = msgPool.alloc(std::move(msg));
+        deliverParked(park(std::move(msg)), delay, hops);
+    }
+
+    /** Park @p msg in the message pool (for a transport that holds a
+     *  message across its own events before delivering it). */
+    Message *park(Message msg) { return msgPool.alloc(std::move(msg)); }
+
+    /** Return a parked slot that will not be delivered. */
+    void release(Message *slot) { msgPool.free(slot); }
+
+    /** deliver() for a message already parked by park(). */
+    void
+    deliverParked(Message *slot, Tick delay, unsigned hops)
+    {
+        accountSend(*slot, hops);
         eventq.schedule(delay, [this, slot]() { dispatch(slot); });
     }
 
@@ -301,7 +325,7 @@ class IdealNetwork : public Network
     Tick fixedLatency;
 };
 
-/** Configuration for MeshNetwork. */
+/** Configuration for the mesh timing model. */
 struct MeshConfig {
     /** Per-hop link traversal latency in cycles (Figure 8 sweeps this). */
     Tick hopLatency = 3;
@@ -320,15 +344,204 @@ struct MeshConfig {
     std::uint64_t seed = 12345;
 };
 
+/** Columns of the smallest near-square grid that holds @p n nodes
+ *  (row-major numbering; the last row may be ragged). */
+std::uint32_t meshGridSide(std::uint32_t n);
+
 /**
- * 2D mesh with XY dimension-order routing.
+ * The 2D-mesh timing model every mesh transport (MeshNetwork,
+ * ChaosNetwork, the PDES DomainNet) shares: XY dimension-order routes,
+ * the reorder-jitter draw and the combining-tree schedule. Transports
+ * only decide where each timed copy lands.
  *
  * Contention model: each directed link keeps the tick at which it next
  * becomes free. A message crossing the link departs at
  * max(arrival, linkFree) and occupies the link for its serialization
- * time. This analytic store-and-forward model captures queueing delay
- * and link saturation without per-flit events.
+ * time - analytic store-and-forward, no per-flit events.
+ *
+ * @tparam Partitioned false: every link is owned. true: only links
+ * whose source grid row lies in [rowBegin, rowEnd) are (one PDES
+ * domain's row block); a foreign link costs the uncontended crossing
+ * and is never written, so domains share no link state.
  */
+template <bool Partitioned>
+class MeshTiming
+{
+  public:
+    MeshTiming(const MeshConfig &cfg, std::uint32_t num_nodes,
+               std::uint32_t row_begin = 0, std::uint32_t row_end = 0)
+        : config(cfg), gridCols(meshGridSide(num_nodes)),
+          gridRows((num_nodes + gridCols - 1) / gridCols),
+          rowBegin(row_begin), rowEnd(row_end),
+          linkFree(static_cast<std::size_t>(gridCols) * gridRows * 4, 0),
+          jitterRng(cfg.seed)
+    {
+        if (config.linkBytesPerCycle == 0)
+            fatal("mesh linkBytesPerCycle must be nonzero");
+    }
+
+    std::uint32_t cols() const { return gridCols; }
+    std::uint32_t rows() const { return gridRows; }
+
+    /**
+     * Walk the XY route from @p from, injected no earlier than
+     * @p start, advancing the next-free tick of every owned link, and
+     * return the absolute arrival tick at @p to. @p from == @p to is
+     * the one-cycle local loopback (no link usage). Point-to-point
+     * sends and tree edges share this walk.
+     */
+    Tick routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
+                      Tick start, unsigned &hops);
+
+    /** Flight time of @p msg sent at @p now: its route plus the
+     *  reorder-jitter draw (routed messages only). */
+    Tick
+    flight(const Message &msg, Tick now, unsigned &hops)
+    {
+        return routeArrival(msg.src, msg.dst, msg.bytes, now, hops) -
+               now + jitter(hops);
+    }
+
+    /**
+     * Combining-tree multicast of @p proto to @p dsts (ascending node
+     * order), resolved at @p now. The source feeds the first k
+     * destinations; destination index p relays to indices
+     * (p+1)*k .. +k-1 one router pass after its copy arrives. A
+     * parent's index is always below its children's, so one pass in
+     * index order times every copy against the current link state:
+     * relays need no forwarding events, and under PDES the tree lives
+     * in the sending domain's timeline. Each copy is handed to
+     * land(copy, flight, hops) in list order.
+     */
+    template <class Land>
+    MulticastReceipt
+    treeMulticast(std::uint32_t fanout, const Message &proto,
+                  std::span<const NodeId> dsts, Tick now, Land &&land)
+    {
+        const std::size_t k = std::max<std::uint32_t>(2, fanout);
+        const Tick ser = serialization(proto.bytes);
+        // Slot 0 is the source's NIC, slot i+1 destination index i's.
+        mcNicFree.assign(dsts.size() + 1, 0);
+        mcCopy.assign(dsts.size(), TreeCopy{});
+        MulticastReceipt r;
+        r.dests = static_cast<std::uint32_t>(dsts.size());
+        for (std::size_t i = 0; i < dsts.size(); ++i) {
+            const bool root = i < k;
+            const std::size_t pi = root ? 0 : i / k - 1;
+            const TreeCopy parent = root ? TreeCopy{now, 0, 0}
+                                         : mcCopy[pi];
+            const Tick ready =
+                root ? now : parent.arrival + config.routerDelay;
+            Tick &nic = mcNicFree[root ? 0 : pi + 1];
+            const Tick inject = std::max(ready, nic);
+            nic = inject + ser;
+            unsigned hops = 0;
+            TreeCopy &c = mcCopy[i];
+            c.arrival = routeArrival(root ? proto.src : dsts[pi], dsts[i],
+                                     proto.bytes, inject, hops);
+            c.nicPath = parent.nicPath + 1 +
+                        static_cast<std::uint32_t>(root ? i
+                                                        : i - (pi + 1) * k);
+            c.depth = parent.depth + 1;
+            r.nicSerialized = std::max(r.nicSerialized, c.nicPath);
+            r.depth = std::max(r.depth, c.depth);
+
+            Message copy = proto;
+            copy.dst = dsts[i];
+            land(std::move(copy), c.arrival - now + jitter(hops), hops);
+        }
+        return r;
+    }
+
+  private:
+    Tick
+    serialization(std::uint32_t bytes) const
+    {
+        return std::max<Tick>(1, (bytes + config.linkBytesPerCycle - 1) /
+                                     config.linkBytesPerCycle);
+    }
+
+    Tick
+    jitter(unsigned hops)
+    {
+        return hops != 0 && config.reorderJitter > 0
+                   ? jitterRng.below(config.reorderJitter + 1)
+                   : 0;
+    }
+
+    /** One tree copy: arrival tick, NIC injections on its critical
+     *  path, and relay depth. */
+    struct TreeCopy {
+        Tick arrival;
+        std::uint32_t nicPath;
+        std::uint32_t depth;
+    };
+
+    MeshConfig config;
+    std::uint32_t gridCols;
+    std::uint32_t gridRows;
+    /** Owned source rows (Partitioned only). */
+    std::uint32_t rowBegin;
+    std::uint32_t rowEnd;
+    /** Next-free tick per directed link (4 directions per grid slot;
+     *  routes may pass through unpopulated slots of a ragged grid). */
+    std::vector<Tick> linkFree;
+    Rng jitterRng;
+    /** Tree-multicast scratch (reused; untouched on the flat path). */
+    std::vector<Tick> mcNicFree;
+    std::vector<TreeCopy> mcCopy;
+};
+
+/** Fault-injection knobs (ChaosModel, noc/chaos_network.hh); all
+ *  delays in cycles. */
+struct ChaosConfig {
+    /** Time messages with the fixed ideal latency, not the mesh. */
+    bool overIdeal = false;
+    /** Extra uniform delay in [0, jitter] per message. */
+    Tick jitter = 6;
+    /** Probability a message is held for an extra reorder delay. */
+    double reorderProb = 0.25;
+    /** Maximum extra hold for a reordered message. */
+    Tick reorderWindow = 24;
+    /** Probability an idempotent reply is delivered twice. */
+    double duplicateProb = 0.0;
+    /** The duplicate copy enters the transport this much later. */
+    Tick duplicateLag = 9;
+    /** Seed of the fault stream (part of the run fingerprint). */
+    std::uint64_t seed = 0xC7A05;
+};
+
+/** Interconnect selection and per-model parameters. */
+struct NetworkConfig {
+    enum class Model : std::uint8_t {
+        Mesh,  ///< 2D mesh, XY routing (the paper's interconnect)
+        Ideal, ///< fixed-latency, infinite bandwidth (unit tests)
+        Chaos, ///< seeded faults over Mesh or Ideal timing (see chaos)
+    };
+    Model model = Model::Mesh;
+    /** Mesh parameters (Model::Mesh, and Chaos over a mesh base). */
+    MeshConfig mesh;
+    /** Fixed latency (Model::Ideal, and Chaos over an ideal base). */
+    Tick idealLatency = 1;
+    /** Fault-injection parameters (Model::Chaos). chaos.overIdeal
+     *  picks the base network the faults are layered on. */
+    ChaosConfig chaos;
+    /** Commit fan-out strategy: flat per-destination sends (default,
+     *  the paper's model) or a k-ary combining tree embedded in the
+     *  mesh (Model::Mesh only; see DESIGN.md section 12). */
+    MulticastConfig multicast;
+
+    /** True when messages travel the mesh: Model::Mesh, or Chaos over
+     *  a mesh base. Otherwise they take the fixed idealLatency. */
+    bool
+    meshBased() const
+    {
+        return model == Model::Mesh ||
+               (model == Model::Chaos && !chaos.overIdeal);
+    }
+};
+
+/** 2D mesh with XY dimension-order routing (timing: MeshTiming). */
 class MeshNetwork : public Network
 {
   public:
@@ -339,8 +552,8 @@ class MeshNetwork : public Network
     void send(Message msg) override;
 
     /** Mesh side lengths chosen at construction. */
-    std::uint32_t cols() const { return gridCols; }
-    std::uint32_t rows() const { return gridRows; }
+    std::uint32_t cols() const { return timing.cols(); }
+    std::uint32_t rows() const { return timing.rows(); }
 
     /** Manhattan hop count between two nodes. */
     unsigned hopCount(NodeId a, NodeId b) const;
@@ -352,33 +565,7 @@ class MeshNetwork : public Network
                                  std::span<const NodeId> dsts) override;
 
   private:
-    /** Directed link index from node @p n toward direction @p d. */
-    std::size_t linkIndex(NodeId n, unsigned dir) const;
-
-    /**
-     * Walk the XY route from @p from, injected no earlier than
-     * @p start, advancing per-link next-free ticks (contention), and
-     * return the absolute arrival tick at @p to. @p from == @p to is
-     * the one-cycle local loopback (no link usage). send() and the
-     * tree multicast share this walk, so a tree edge pays exactly what
-     * a point-to-point message between its endpoints would.
-     */
-    Tick routeArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                      Tick start, unsigned &hops);
-
-    MeshConfig config;
-    std::uint32_t gridCols;
-    std::uint32_t gridRows;
-    /** Next-free tick per directed link (4 directions per node). */
-    std::vector<Tick> linkFree;
-    Rng jitterRng;
-    /** Tree-multicast scratch (sized on first use, then reused; never
-     *  touched on the flat path). mcNicFree slot 0 is the source,
-     *  slot i+1 is destination index i. */
-    std::vector<Tick> mcArrival;
-    std::vector<Tick> mcNicFree;
-    std::vector<std::uint32_t> mcNicPath;
-    std::vector<std::uint32_t> mcDepth;
+    MeshTiming<false> timing;
 };
 
 } // namespace tcc

@@ -8,19 +8,6 @@ namespace tcc {
 
 namespace {
 
-/** Smallest near-square grid that holds @p n nodes (must match
- *  MeshNetwork's construction-time choice, noc/network.cc). */
-std::uint32_t
-gridSideOf(std::uint32_t n)
-{
-    std::uint32_t c = 1;
-    while (c * c < n)
-        ++c;
-    return c;
-}
-
-enum Dir : unsigned { East = 0, West = 1, North = 2, South = 3 };
-
 /** Decorrelate one seeded stream per domain. */
 std::uint64_t
 domainSeed(std::uint64_t seed, std::uint32_t domain)
@@ -36,10 +23,9 @@ computePdesPlan(std::uint32_t num_procs, std::uint32_t requested_domains,
                 const MeshConfig &mesh, Tick ideal_latency)
 {
     PdesPlan plan;
-    plan.meshBased = mesh_based;
     std::uint32_t d = std::max<std::uint32_t>(1, requested_domains);
     if (mesh_based) {
-        const std::uint32_t cols = gridSideOf(num_procs);
+        const std::uint32_t cols = meshGridSide(num_procs);
         const std::uint32_t rows = (num_procs + cols - 1) / cols;
         plan.gridCols = cols;
         plan.gridRows = rows;
@@ -81,17 +67,22 @@ DomainNet::DomainNet(EventQueue &eq_, std::uint32_t num_nodes,
                      const DomainSpec &spec_, const PdesPlan &plan_,
                      const DomainNetConfig &cfg, Arena *arena)
     : Network(eq_, num_nodes, arena), outbox(plan_.domains.size()),
-      spec(spec_), plan(plan_), config(cfg),
-      jitterRng(domainSeed(cfg.mesh.seed, spec_.id)),
-      chaosRng(domainSeed(cfg.chaosCfg.seed, spec_.id)),
-      dupPool(arena)
+      spec(spec_), plan(plan_), idealLatency(cfg.idealLatency)
 {
-    if (config.meshBased) {
-        if (config.mesh.linkBytesPerCycle == 0)
-            fatal("mesh linkBytesPerCycle must be nonzero");
-        linkFree.assign(static_cast<std::size_t>(plan.gridCols) *
-                            plan.gridRows * 4,
-                        0);
+    setMulticast(cfg.multicast);
+    if (cfg.meshBased()) {
+        // Rows are dealt out in contiguous blocks (computePdesPlan).
+        const auto rows = plan.rowDomain.begin();
+        const auto own =
+            std::equal_range(rows, plan.rowDomain.end(), spec.id);
+        MeshConfig m = cfg.mesh;
+        m.seed = domainSeed(m.seed, spec.id);
+        mesh.emplace(m, num_nodes, own.first - rows, own.second - rows);
+    }
+    if (cfg.model == NetworkConfig::Model::Chaos) {
+        ChaosConfig c = cfg.chaos;
+        c.seed = domainSeed(c.seed, spec.id);
+        chaos.emplace(c);
     }
 }
 
@@ -100,16 +91,14 @@ DomainNet::send(Message msg)
 {
     if (msg.src >= numNodes() || msg.dst >= numNodes())
         panic("domain send with bad endpoint %u->%u", msg.src, msg.dst);
-    if (config.chaos && config.chaosCfg.duplicateProb > 0.0 &&
-        chaosDuplicable(msg.type) &&
-        chaosRng.chance(config.chaosCfg.duplicateProb)) {
+    if (chaos && chaos->duplicates(msg.type)) {
         // The copy re-routes duplicateLag cycles later with fresh
         // draws, so it and the original contend and jitter
-        // independently (mirrors ChaosNetwork::send).
-        Message *slot = dupPool.alloc(msg);
-        eventq.schedule(config.chaosCfg.duplicateLag, [this, slot]() {
-            route(*slot);
-            dupPool.free(slot);
+        // independently.
+        Message *copy = park(msg);
+        eventq.schedule(chaos->config().duplicateLag, [this, copy]() {
+            route(*copy);
+            release(copy);
         });
     }
     route(std::move(msg));
@@ -119,13 +108,16 @@ void
 DomainNet::route(Message msg)
 {
     unsigned hops = 1;
-    Tick delay;
-    if (config.meshBased)
-        delay = meshDelay(msg, hops);
-    else
-        delay = config.idealLatency;
-    if (config.chaos)
-        delay += chaosExtra();
+    Tick delay =
+        mesh ? mesh->flight(msg, eventq.now(), hops) : idealLatency;
+    if (chaos)
+        delay += chaos->extraDelay();
+    land(std::move(msg), delay, hops);
+}
+
+void
+DomainNet::land(Message msg, Tick delay, unsigned hops)
+{
     const std::uint32_t dst_dom = plan.nodeDomain[msg.dst];
     if (dst_dom == spec.id) {
         deliver(std::move(msg), delay, hops);
@@ -139,159 +131,19 @@ DomainNet::route(Message msg)
     box.push_back(Parcel{std::move(msg), eventq.now() + delay});
 }
 
-Tick
-DomainNet::meshDelay(const Message &msg, unsigned &hops)
-{
-    const Tick arrive =
-        meshArrival(msg.src, msg.dst, msg.bytes, eventq.now(), hops);
-    Tick delay = arrive - eventq.now();
-    if (hops != 0 && config.mesh.reorderJitter > 0)
-        delay += jitterRng.below(config.mesh.reorderJitter + 1);
-    return delay;
-}
-
-Tick
-DomainNet::meshArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                       Tick start, unsigned &hops)
-{
-    hops = 0;
-    if (from == to)
-        return start + 1; // local loopback: one-cycle turnaround
-
-    const MeshConfig &m = config.mesh;
-    const Tick ser = std::max<Tick>(
-        1, (bytes + m.linkBytesPerCycle - 1) / m.linkBytesPerCycle);
-
-    // Walk the XY route exactly as MeshNetwork does, except that only
-    // links owned by this domain (by source grid row) model contention
-    // through linkFree; foreign links contribute the uncontended
-    // crossing cost without touching shared state.
-    Tick t = start + m.routerDelay;
-    int x = static_cast<int>(from % plan.gridCols);
-    int y = static_cast<int>(from / plan.gridCols);
-    const int dx = static_cast<int>(to % plan.gridCols);
-    const int dy = static_cast<int>(to / plan.gridCols);
-    NodeId cur = from;
-
-    auto cross = [&](unsigned dir, NodeId next) {
-        if (plan.rowDomain[cur / plan.gridCols] == spec.id) {
-            const std::size_t li =
-                static_cast<std::size_t>(cur) * 4 + dir;
-            const Tick depart = std::max(t, linkFree[li]);
-            linkFree[li] = depart + ser;
-            t = depart + ser + m.hopLatency + m.routerDelay;
-        } else {
-            t += ser + m.hopLatency + m.routerDelay;
-        }
-        cur = next;
-        ++hops;
-    };
-
-    while (x != dx) {
-        if (x < dx) {
-            cross(East, cur + 1);
-            ++x;
-        } else {
-            cross(West, cur - 1);
-            --x;
-        }
-    }
-    while (y != dy) {
-        if (y < dy) {
-            cross(South, cur + plan.gridCols);
-            ++y;
-        } else {
-            cross(North, cur - plan.gridCols);
-            --y;
-        }
-    }
-    return t;
-}
-
 MulticastReceipt
 DomainNet::doMulticast(const Message &proto,
                        std::span<const NodeId> dsts)
 {
     // The tree engages only on a plain mesh (validate() rejects it
-    // combined with chaos or an ideal base), and only past the
-    // destination-count threshold.
-    if (mcastCfg.topology != MulticastConfig::Topology::Tree ||
-        !config.meshBased || config.chaos ||
-        dsts.size() < mcastCfg.minDests) {
+    // combined with chaos or an ideal base).
+    if (!mesh || chaos || !mcastCfg.staged(dsts.size()))
         return Network::doMulticast(proto, dsts);
-    }
-
-    // Same k-ary layout and one-pass schedule as
-    // MeshNetwork::doMulticast (see that function and DESIGN.md sec.
-    // 12); the only difference is each copy's disposition: own-domain
-    // destinations deliver through this domain's queue, cross-domain
-    // destinations park in the mailbox with their final arrival tick.
-    const std::uint32_t k = std::max<std::uint32_t>(2, mcastCfg.fanout);
-    const std::size_t n = dsts.size();
-    const MeshConfig &m = config.mesh;
-    const Tick ser = std::max<Tick>(
-        1, (proto.bytes + m.linkBytesPerCycle - 1) /
-               m.linkBytesPerCycle);
-
-    mcArrival.assign(n, 0);
-    mcNicFree.assign(n + 1, 0); // slot 0 = source, i+1 = dsts[i]
-    mcNicPath.assign(n, 0);
-    mcDepth.assign(n, 0);
-
-    MulticastReceipt r;
-    r.dests = static_cast<std::uint32_t>(n);
-    const Tick now = eventq.now();
-    for (std::size_t i = 0; i < n; ++i) {
-        const bool root = i < k;
-        const std::size_t pi = root ? 0 : i / k - 1;
-        const NodeId parent = root ? proto.src : dsts[pi];
-        const Tick ready = root ? now : mcArrival[pi] + m.routerDelay;
-        const std::size_t slot = root ? 0 : pi + 1;
-        const Tick inject = std::max(ready, mcNicFree[slot]);
-        mcNicFree[slot] = inject + ser;
-        unsigned hops = 0;
-        const Tick arrive =
-            meshArrival(parent, dsts[i], proto.bytes, inject, hops);
-        mcArrival[i] = arrive;
-        const std::uint32_t rank = static_cast<std::uint32_t>(
-            root ? i : i - (pi + 1) * k);
-        mcNicPath[i] = (root ? 0 : mcNicPath[pi]) + rank + 1;
-        mcDepth[i] = (root ? 0 : mcDepth[pi]) + 1;
-        if (mcNicPath[i] > r.nicSerialized)
-            r.nicSerialized = mcNicPath[i];
-        if (mcDepth[i] > r.depth)
-            r.depth = mcDepth[i];
-
-        Message copy = proto;
-        copy.dst = dsts[i];
-        Tick delay = arrive - now;
-        if (hops != 0 && m.reorderJitter > 0)
-            delay += jitterRng.below(m.reorderJitter + 1);
-        const std::uint32_t dst_dom = plan.nodeDomain[copy.dst];
-        if (dst_dom == spec.id) {
-            deliver(std::move(copy), delay, hops);
-            continue;
-        }
-        accountSend(copy, hops);
-        ++crossCount;
-        auto &box = outbox[dst_dom];
-        if (box.empty())
-            dirtyDests.push_back(dst_dom);
-        box.push_back(Parcel{std::move(copy), now + delay});
-    }
-    return r;
-}
-
-Tick
-DomainNet::chaosExtra()
-{
-    const ChaosConfig &c = config.chaosCfg;
-    Tick extra = c.jitter != 0 ? chaosRng.below(c.jitter + 1) : 0;
-    if (c.reorderProb > 0.0 && chaosRng.chance(c.reorderProb)) {
-        if (c.reorderWindow != 0)
-            extra += chaosRng.below(c.reorderWindow + 1);
-    }
-    return extra;
+    return mesh->treeMulticast(
+        mcastCfg.fanout, proto, dsts, eventq.now(),
+        [this](Message copy, Tick delay, unsigned hops) {
+            land(std::move(copy), delay, hops);
+        });
 }
 
 WindowCrew::WindowCrew(unsigned jobs, std::function<void(unsigned)> body)
@@ -365,15 +217,6 @@ WindowCrew::runPhase()
     }
     if (err)
         std::rethrow_exception(err);
-}
-
-Tick
-PdesState::earliestEvent() const
-{
-    Tick next = kTickMax;
-    for (const auto &d : domains)
-        next = std::min(next, d->eq.nextWhen());
-    return next;
 }
 
 void

@@ -43,6 +43,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -57,8 +58,6 @@
 #include "obs/metrics.hh"
 #include "obs/trace_recorder.hh"
 #include "sim/event_queue.hh"
-#include "sim/pool.hh"
-#include "sim/random.hh"
 
 namespace tcc {
 
@@ -78,8 +77,6 @@ struct PdesPlan {
     std::vector<DomainSpec> domains;
     /** Window width in cycles (the conservative lookahead). */
     Tick lookahead = 1;
-    /** Mesh-based transport (Mesh, or Chaos over a mesh). */
-    bool meshBased = false;
     std::uint32_t gridCols = 0;
     std::uint32_t gridRows = 0;
     /** NodeId -> owning domain (size numProcs). */
@@ -133,35 +130,19 @@ pdesEot(Tick next, Tick lookahead)
     return next >= kTickMax - lookahead ? kTickMax : next + lookahead;
 }
 
-/** Transport parameters a DomainNet needs (translated from the
- *  System's NetworkConfig by the constructor site). */
-struct DomainNetConfig {
-    bool meshBased = true;
-    MeshConfig mesh;
-    Tick idealLatency = 1;
-    /** Chaos fault layer on top of the base transport. */
-    bool chaos = false;
-    ChaosConfig chaosCfg;
-};
+/** A DomainNet models the System's transport. */
+using DomainNetConfig = NetworkConfig;
 
 /**
- * One domain's network endpoint: routes intra-domain messages through
- * the domain's own EventQueue and parks cross-domain messages (with
- * their already-computed arrival tick) in per-destination-domain
- * mailboxes for the coordinator to flush at the window barrier.
- *
- * Mesh timing matches MeshNetwork's analytic store-and-forward model
- * with one refinement: a directed link is owned by the domain of the
- * row its source grid slot lies in. Owned links model contention
- * exactly (depart at max(arrival, linkFree), then occupy the link);
- * foreign links add the uncontended crossing cost without touching
- * any state, keeping the window race-free. With whole-row domains and
- * XY routing, a route's horizontal phase and its first vertical link
- * are always owned by the sender's domain.
- *
- * Chaos faults draw from a per-domain Rng stream at *send* time (the
- * serial ChaosNetwork draws jitter at delivery), so a parcel's arrival
- * tick is final when it enters the mailbox.
+ * One domain's network endpoint. It times each message with the shared
+ * models - MeshTiming over the domain's own row block, and a
+ * per-domain ChaosModel drawing at *send* time (see chaos_network.hh)
+ * - then delivers intra-domain messages through the domain's own
+ * EventQueue and parks cross-domain ones, with their final arrival
+ * tick, in per-destination-domain mailboxes for the coordinator to
+ * flush at the window barrier. With whole-row domains and XY routing,
+ * a route's horizontal phase and first vertical link are always owned
+ * by the sender's domain.
  */
 class DomainNet : public Network
 {
@@ -177,6 +158,12 @@ class DomainNet : public Network
               const DomainNetConfig &cfg, Arena *arena = nullptr);
 
     void send(Message msg) override;
+
+    const ChaosModel *
+    chaosModel() const override
+    {
+        return chaos ? &*chaos : nullptr;
+    }
 
     /** Cross-domain messages parked so far (mailbox traffic stat). */
     std::uint64_t crossMessages() const { return crossCount; }
@@ -198,43 +185,25 @@ class DomainNet : public Network
     std::vector<std::uint32_t> dirtyDests;
 
   protected:
-    /**
-     * Combining-tree staging under PDES. The whole tree is resolved
-     * analytically in the *sending* domain's timeline at multicast
-     * time (owned links with contention, foreign links additive -
-     * the same ownership rule as point-to-point routes), so relays
-     * never need forwarding events in foreign domains. Each copy is
-     * then delivered locally or parked in its destination domain's
-     * mailbox with its final arrival tick; every cross-domain copy
-     * crosses at least one full link, so the lookahead bound holds.
-     */
+    /** Tree staging in the sending domain's timeline; each copy then
+     *  lands like a point-to-point message (every cross-domain copy
+     *  crosses a full link, so the lookahead bound holds). */
     MulticastReceipt doMulticast(const Message &proto,
                                  std::span<const NodeId> dsts) override;
 
   private:
     void route(Message msg);
-    Tick meshDelay(const Message &msg, unsigned &hops);
-    /** XY-route arrival tick from @p from (injected >= @p start) to
-     *  @p to; shared by meshDelay and the tree multicast. */
-    Tick meshArrival(NodeId from, NodeId to, std::uint32_t bytes,
-                     Tick start, unsigned &hops);
-    Tick chaosExtra();
+    /** Deliver locally or park for the barrier, @p delay from now. */
+    void land(Message msg, Tick delay, unsigned hops);
 
     DomainSpec spec;
     const PdesPlan &plan;
-    DomainNetConfig config;
-    /** Next-free tick per directed link; only owned links are touched. */
-    std::vector<Tick> linkFree;
-    Rng jitterRng;
-    Rng chaosRng;
-    /** Parking slab for lagged chaos duplicates. */
-    ObjectPool<Message> dupPool;
+    Tick idealLatency;
+    /** Mesh timing over this domain's rows; empty on an ideal base. */
+    std::optional<MeshTiming<true>> mesh;
+    /** Fault draws; empty unless the transport is chaos. */
+    std::optional<ChaosModel> chaos;
     std::uint64_t crossCount = 0;
-    /** Tree-multicast scratch (see MeshNetwork; unused when flat). */
-    std::vector<Tick> mcArrival;
-    std::vector<Tick> mcNicFree;
-    std::vector<std::uint32_t> mcNicPath;
-    std::vector<std::uint32_t> mcDepth;
 };
 
 /**
@@ -384,11 +353,6 @@ struct PdesState {
      *  phase, read by the workers. */
     Tick curLimit = 0;
 
-    /** Earliest pending event across all domains (kTickMax if none).
-     *  Exact scan of every domain's queue; the window loop uses the
-     *  pulse-based earliestNext() instead. */
-    Tick earliestEvent() const;
-
     /** Populate pulse from a full scan of every domain (run setup;
      *  afterwards the workers and coordinator keep it current). */
     void initPulse();
@@ -401,17 +365,6 @@ struct PdesState {
         for (const DomainPulse &pu : pulse)
             next = std::min(next, pu.next);
         return next;
-    }
-
-    /** min over domains of EOT(d) = pulse[d].next + lookahead: no
-     *  cross-domain effect can become visible before this tick. */
-    Tick
-    eotBound() const
-    {
-        Tick bound = kTickMax;
-        for (const DomainPulse &pu : pulse)
-            bound = std::min(bound, pdesEot(pu.next, plan.lookahead));
-        return bound;
     }
 
     /**

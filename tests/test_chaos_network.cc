@@ -1,8 +1,9 @@
 /**
  * @file
- * Unit tests for the fault-injection network decorator: deterministic
- * per (seed, config), delay bounded by jitter + reorderWindow, and
- * duplication restricted to idempotent reply types. A system-level
+ * Unit tests for the chaos transport: deterministic per (seed,
+ * config), delay bounded by jitter + reorderWindow, duplication
+ * restricted to idempotent reply types, and with zero faults exactly
+ * the plain mesh (ticks and traffic counters). A system-level
  * section runs real workloads over every chaos preset with both
  * checkers armed.
  */
@@ -40,14 +41,13 @@ struct Harness {
     std::unique_ptr<ChaosNetwork> net;
     std::vector<std::vector<Delivery>> inbox;
 
-    explicit Harness(const ChaosConfig &cfg, std::uint32_t nodes = 4,
+    explicit Harness(ChaosConfig cfg, std::uint32_t nodes = 4,
                      Tick base_latency = 1)
         : inbox(nodes)
     {
-        net = std::make_unique<ChaosNetwork>(
-            eq, nodes,
-            std::make_unique<IdealNetwork>(eq, nodes, base_latency),
-            cfg);
+        cfg.overIdeal = true;
+        net = std::make_unique<ChaosNetwork>(eq, nodes, cfg, MeshConfig{},
+                                             base_latency);
         for (NodeId n = 0; n < nodes; ++n)
             net->connect(n, [this, n](const Message &m) {
                 inbox[n].push_back(
@@ -191,6 +191,45 @@ TEST(ChaosNetwork, PresetsAllParse)
         sys_cfg.network.chaos = cfg;
         EXPECT_EQ(sys_cfg.validate(), "") << "preset " << name;
     }
+}
+
+TEST(ChaosNetwork, ZeroFaultConfigMatchesBaseTransport)
+{
+    // With every fault knob at zero, chaos over a mesh is the plain
+    // mesh: same arrival tick per message, same traffic counters.
+    const ChaosConfig quiet{.jitter = 0, .reorderProb = 0.0,
+                            .reorderWindow = 0, .duplicateProb = 0.0};
+    constexpr std::uint32_t kNodes = 16, kMsgs = 200;
+    EventQueue eq_m, eq_c;
+    MeshNetwork mesh(eq_m, kNodes);
+    ChaosNetwork chaos(eq_c, kNodes, quiet);
+    std::vector<Tick> at_m(kMsgs), at_c(kMsgs);
+    for (NodeId n = 0; n < kNodes; ++n) {
+        mesh.connect(n, [&](const Message &m) { at_m[m.seq] = eq_m.now(); });
+        chaos.connect(n,
+                      [&](const Message &m) { at_c[m.seq] = eq_c.now(); });
+    }
+    // Bursts of 40 same-tick sends contend on shared links; each burst
+    // starts while the previous one is still in flight.
+    Rng rng(5);
+    for (std::uint32_t i = 0; i < kMsgs; ++i) {
+        Message m;
+        m.src = static_cast<NodeId>(rng.below(kNodes));
+        m.dst = static_cast<NodeId>(rng.below(kNodes));
+        m.bytes = 8 + 8 * static_cast<std::uint32_t>(rng.below(8));
+        m.seq = i;
+        eq_m.scheduleAt(i / 40 * 7, [&mesh, m]() { mesh.send(m); });
+        eq_c.scheduleAt(i / 40 * 7, [&chaos, m]() { chaos.send(m); });
+    }
+    eq_m.run();
+    eq_c.run();
+
+    EXPECT_EQ(at_c, at_m);
+    EXPECT_EQ(chaos.stats().messages, mesh.stats().messages);
+    EXPECT_EQ(chaos.stats().totalBytes, mesh.stats().totalBytes);
+    EXPECT_EQ(chaos.stats().totalHops, mesh.stats().totalHops);
+    EXPECT_GT(mesh.stats().totalHops, 0u);
+    EXPECT_EQ(chaos.stats().nodeBytes, mesh.stats().nodeBytes);
 }
 
 // --- system-level: real workloads survive every preset --------------

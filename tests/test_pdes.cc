@@ -127,55 +127,68 @@ TEST(PdesPartition, LookaheadFormula)
 
 // --- window-barrier message ordering --------------------------------
 
-/** Two ideal-network domains over 4 nodes; domain 0 owns {0,1},
- *  domain 1 owns {2,3}. Records deliveries at domain 1's endpoints. */
-struct MailboxHarness {
+/** PDES domains over @p plan with recording endpoints; the tests
+ *  flush mailboxes and run queues by hand. */
+struct DomainsHarness {
     PdesState st;
+    /** (arrival tick, seq) per endpoint, in delivery order. */
     std::vector<std::vector<std::pair<Tick, std::uint32_t>>> inbox;
 
-    explicit MailboxHarness(Tick latency)
-        : st(idealPlan(4, 2, latency)), inbox(4)
+    explicit DomainsHarness(PdesPlan plan, const NetworkConfig &net = {})
+        : st(std::move(plan)), inbox(st.plan.nodeDomain.size())
     {
-        DomainNetConfig ncfg;
-        ncfg.meshBased = false;
-        ncfg.idealLatency = latency;
         for (const DomainSpec &spec : st.plan.domains) {
             auto d = std::make_unique<PdesDomain>(
                 spec, TraceRecorder::kDefaultCapacity);
-            d->net = std::make_unique<DomainNet>(d->eq, 4, spec,
-                                                 st.plan, ncfg,
-                                                 &d->arena);
+            d->net = std::make_unique<DomainNet>(
+                d->eq, static_cast<std::uint32_t>(inbox.size()), spec,
+                st.plan, net, &d->arena);
             for (NodeId n = spec.firstNode;
                  n < spec.firstNode + spec.numNodes; ++n)
-                d->net->connect(n, [this, n](const Message &m) {
-                    inbox[n].push_back(
-                        {st.domains[st.plan.nodeDomain[n]]->eq.now(),
-                         m.seq});
+                d->net->connect(n, [this, n, eq = &d->eq](const Message &m) {
+                    inbox[n].push_back({eq->now(), m.seq});
                 });
             st.domains.push_back(std::move(d));
         }
     }
 
+    /** Send through domain @p via's endpoint at its current tick. */
     void
-    post(NodeId src, NodeId dst, std::uint32_t seq)
+    send(std::uint32_t via, NodeId src, NodeId dst, std::uint32_t bytes,
+         std::uint32_t seq = 0)
     {
         Message m;
         m.type = MsgType::Probe;
         m.src = src;
         m.dst = dst;
+        m.bytes = bytes;
         m.seq = seq;
-        m.bytes = 8;
-        st.domains[st.plan.nodeDomain[src]]->net->send(m);
+        st.domains[via]->net->send(m);
+    }
+
+    /** Arrival ticks parked in domain @p via's mailbox for @p dst. */
+    std::vector<Tick>
+    parcelTicks(std::uint32_t via, std::uint32_t dst) const
+    {
+        std::vector<Tick> ticks;
+        for (const DomainNet::Parcel &p : st.domains[via]->net->outbox[dst])
+            ticks.push_back(p.when);
+        return ticks;
     }
 };
 
 TEST(PdesMailbox, FlushPreservesPerPairSendOrder)
 {
-    MailboxHarness h(/*latency=*/4);
+    // Two ideal-network domains over 4 nodes; domain 0 owns {0,1},
+    // domain 1 owns {2,3}.
+    NetworkConfig ideal;
+    ideal.model = NetworkConfig::Model::Ideal;
+    ideal.idealLatency = 4;
+    DomainsHarness h(idealPlan(4, 2, 4), ideal);
     // Interleave two cross-domain pairs; all sends inside window 0.
     for (std::uint32_t i = 0; i < 16; ++i) {
-        h.post(0, 2, i);       // pair A
-        h.post(1, 3, 100 + i); // pair B
+        h.send(0, 0, 2, 8, i);       // pair A
+        h.send(0, 1, 3, 8, 100 + i); // pair B
     }
     ASSERT_EQ(h.st.domains[0]->net->crossMessages(), 32u);
 
@@ -200,27 +213,13 @@ TEST(PdesMailbox, MeshParcelsRespectTheLookahead)
     // 16 nodes, 4 row-domains over the default mesh; every
     // cross-domain parcel sent at tick 0 must arrive at or after the
     // derived lookahead, or conservative execution is unsound.
-    PdesState st(meshPlan(16, 4));
-    DomainNetConfig ncfg;
-    ncfg.meshBased = true;
-    for (const DomainSpec &spec : st.plan.domains) {
-        auto d = std::make_unique<PdesDomain>(
-            spec, TraceRecorder::kDefaultCapacity);
-        d->net = std::make_unique<DomainNet>(d->eq, 16, spec, st.plan,
-                                             ncfg, &d->arena);
-        st.domains.push_back(std::move(d));
-    }
+    DomainsHarness h(meshPlan(16, 4)); // one row per domain
+    PdesState &st = h.st;
     // Saturate: every node sends to every foreign-domain node.
     for (NodeId s = 0; s < 16; ++s)
         for (NodeId t = 0; t < 16; ++t) {
-            if (st.plan.nodeDomain[s] == st.plan.nodeDomain[t])
-                continue;
-            Message m;
-            m.type = MsgType::Probe;
-            m.src = s;
-            m.dst = t;
-            m.bytes = 64; // several serialization cycles
-            st.domains[st.plan.nodeDomain[s]]->net->send(m);
+            if (st.plan.nodeDomain[s] != st.plan.nodeDomain[t])
+                h.send(st.plan.nodeDomain[s], s, t, 64); // 8-cycle ser.
         }
     std::uint64_t parcels = 0;
     for (const auto &d : st.domains)
@@ -237,6 +236,53 @@ TEST(PdesMailbox, MeshParcelsRespectTheLookahead)
     EXPECT_EQ(st.flushMailboxes(st.plan.lookahead), parcels);
 }
 
+TEST(PdesMailbox, ForeignLinksAreUncontended)
+{
+    // Node 8 -> node 12 crosses one link, the south link out of row 2,
+    // which domain 2 owns.
+    const MeshConfig m;
+    const Tick ser = 64 / m.linkBytesPerCycle;
+    const Tick idle = m.routerDelay + ser + m.hopLatency + m.routerDelay;
+    DomainsHarness h(meshPlan(16, 4)); // one row per domain
+    // Owned: the second same-tick message waits one serialization.
+    h.send(2, 8, 12, 64);
+    h.send(2, 8, 12, 64);
+    EXPECT_EQ(h.parcelTicks(2, 3), (std::vector<Tick>{idle, idle + ser}));
+    // Foreign to domain 0: both pay the uncontended crossing, and the
+    // owner's link state is left alone.
+    h.send(0, 8, 12, 64);
+    h.send(0, 8, 12, 64);
+    EXPECT_EQ(h.parcelTicks(0, 3), (std::vector<Tick>{idle, idle}));
+    h.send(2, 8, 12, 64);
+    EXPECT_EQ(h.parcelTicks(2, 3).back(), idle + 2 * ser);
+
+    // On idle links ownership is invisible: a cross-domain parcel
+    // lands when the serial mesh delivers the same message.
+    Rng rng(17);
+    for (int i = 0; i < 200; ++i) {
+        Message msg;
+        msg.src = static_cast<NodeId>(rng.below(16));
+        msg.dst = static_cast<NodeId>(rng.below(16));
+        msg.bytes = 1 + static_cast<std::uint32_t>(rng.below(96));
+        DomainsHarness pdes(meshPlan(16, 4));
+        const std::uint32_t from = pdes.st.plan.nodeDomain[msg.src];
+        const std::uint32_t to = pdes.st.plan.nodeDomain[msg.dst];
+        if (from == to)
+            continue;
+        pdes.send(from, msg.src, msg.dst, msg.bytes);
+        EventQueue eq;
+        MeshNetwork serial(eq, 16);
+        Tick arrived = kTickMax;
+        serial.connect(msg.dst, [&](const Message &) { arrived = eq.now(); });
+        serial.send(msg);
+        eq.run();
+        EXPECT_EQ(pdes.parcelTicks(from, to), std::vector<Tick>{arrived})
+            << msg.src << "->" << msg.dst << ", " << msg.bytes << " B";
+        EXPECT_EQ(pdes.st.domains[from]->net->stats().totalHops,
+                  serial.stats().totalHops);
+    }
+}
+
 // --- determinism gate: jobs is invisible ----------------------------
 
 RunResult
@@ -244,7 +290,7 @@ runPdes(const std::string &app, std::uint32_t procs,
         std::uint32_t domains, std::uint32_t jobs,
         const std::string &chaos_preset = "", std::uint64_t seed = 42,
         PdesConfig::Sync sync = PdesConfig::Sync::Adaptive,
-        Tick max_ticks = 2'000'000'000ull)
+        Tick max_ticks = 2'000'000'000ull, ChaosStats *chaos = nullptr)
 {
     SystemConfig cfg;
     cfg.numProcs = procs;
@@ -262,7 +308,10 @@ runPdes(const std::string &app, std::uint32_t procs,
     System sys(cfg);
     const WorkloadBundle b = makeWorkload(app, {}, seed, cfg.numProcs);
     b.attach(sys);
-    return sys.run(max_ticks);
+    const RunResult res = sys.run(max_ticks);
+    if (chaos)
+        *chaos = sys.chaosStats();
+    return res;
 }
 
 /** Full-RunResult equality, excluding only pdes.jobs (the one field
@@ -653,12 +702,23 @@ class PdesChaosPreset : public ::testing::TestWithParam<std::string>
 TEST_P(PdesChaosPreset, DeterministicAcrossJobs)
 {
     const std::string &preset = GetParam();
-    const RunResult one = runPdes("radix", 16, 4, 1, preset, 99);
+    constexpr auto kSync = PdesConfig::Sync::Adaptive;
+    constexpr Tick kMax = 2'000'000'000ull;
+    ChaosStats c1, c4;
+    const RunResult one =
+        runPdes("radix", 16, 4, 1, preset, 99, kSync, kMax, &c1);
     ASSERT_TRUE(one.completed);
     ASSERT_TRUE(one.checksPassed())
         << one.serial.error << one.invariants.error;
-    const RunResult four = runPdes("radix", 16, 4, 4, preset, 99);
+    const RunResult four =
+        runPdes("radix", 16, 4, 4, preset, 99, kSync, kMax, &c4);
     expectSameResult(one, four);
+    // The domains' fault counters are real and jobs-invariant too.
+    EXPECT_GT(c1.messages, 0u);
+    EXPECT_GT(c1.extraDelayTotal, 0u);
+    EXPECT_EQ(c1.duplicates > 0, chaosPreset(preset).duplicateProb > 0);
+    EXPECT_EQ(c1.reordersHeld > 0, chaosPreset(preset).reorderProb > 0);
+    EXPECT_EQ(c1, c4);
 }
 
 INSTANTIATE_TEST_SUITE_P(
