@@ -1,14 +1,15 @@
 /**
  * @file
- * Shared driver for the benchmark harness. Each bench binary
- * regenerates one table or figure of the paper (see DESIGN.md's
- * per-experiment index); this header provides the run-one-configuration
- * plumbing they share.
+ * Shared driver for the benchmark harness: the run-one-configuration
+ * plumbing every bench binary uses (bench_paper regenerates the
+ * paper's tables and figures from it; see DESIGN.md's per-experiment
+ * index).
  */
 
 #ifndef TCC_BENCH_COMMON_HH
 #define TCC_BENCH_COMMON_HH
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -136,89 +137,24 @@ benchApps()
 }
 
 /**
- * Command-line options shared by every figure driver:
- *   --filter=<app>   only run applications whose name contains <app>
- *   --procs=<list>   comma-separated processor counts, replacing the
- *                    figure's default sweep (e.g. --procs=8,16)
- *   --jobs=<n>       concurrent simulations (default: TCC_JOBS env,
- *                    else hardware threads; 1 = serial)
+ * Parse the value of a bench driver's --jobs=N flag: the whole token
+ * must be a decimal in [1, SweepRunner::kMaxJobs]. Anything else - a
+ * sign, junk, zero, a huge count - prints "invalid value '<v>' for
+ * --jobs" and exits 2, so no driver ever starts a made-up number of
+ * workers.
  */
-struct BenchArgs {
-    std::string filter;
-    std::vector<std::uint32_t> procs;
-    unsigned jobs = 0; ///< 0 = SweepRunner::defaultJobs()
-};
-
-/** Parse @p argv into a BenchArgs; exits with usage on bad input. */
-inline BenchArgs
-parseBenchArgs(int argc, char **argv)
+inline unsigned
+parseJobs(const char *value)
 {
-    BenchArgs args;
-    for (int i = 1; i < argc; ++i) {
-        const char *a = argv[i];
-        if (std::strncmp(a, "--filter=", 9) == 0) {
-            args.filter = a + 9;
-        } else if (std::strncmp(a, "--procs=", 8) == 0) {
-            const char *s = a + 8;
-            while (*s) {
-                char *end = nullptr;
-                const unsigned long v = std::strtoul(s, &end, 10);
-                if (end == s || v == 0 ||
-                    (*end != '\0' && *end != ',')) {
-                    std::fprintf(stderr,
-                                 "bad --procs list: '%s'\n", a + 8);
-                    std::exit(2);
-                }
-                args.procs.push_back(
-                    static_cast<std::uint32_t>(v));
-                s = *end == ',' ? end + 1 : end;
-            }
-        } else if (std::strncmp(a, "--jobs=", 7) == 0) {
-            char *end = nullptr;
-            const unsigned long v = std::strtoul(a + 7, &end, 10);
-            if (end == a + 7 || *end != '\0' || v == 0) {
-                std::fprintf(stderr, "bad --jobs value: '%s'\n",
-                             a + 7);
-                std::exit(2);
-            }
-            args.jobs = static_cast<unsigned>(v);
-        } else {
-            std::fprintf(stderr,
-                         "usage: %s [--filter=<app>] "
-                         "[--procs=<n,n,...>] [--jobs=<n>]\n",
-                         argv[0]);
-            std::exit(2);
-        }
+    const char *end = value + std::strlen(value);
+    unsigned v = 0;
+    const auto [ptr, ec] = std::from_chars(value, end, v);
+    if (ec != std::errc() || ptr != end || v == 0 ||
+        v > SweepRunner::kMaxJobs) {
+        std::fprintf(stderr, "invalid value '%s' for --jobs\n", value);
+        std::exit(2);
     }
-    return args;
-}
-
-/** The figure's application list after applying --filter. */
-inline std::vector<std::string>
-benchApps(const BenchArgs &args)
-{
-    std::vector<std::string> apps;
-    for (const auto &app : benchApps()) {
-        if (args.filter.empty() ||
-            app.find(args.filter) != std::string::npos) {
-            apps.push_back(app);
-        }
-    }
-    if (apps.empty())
-        std::fprintf(stderr,
-                     "warning: --filter=%s matches no application\n",
-                     args.filter.c_str());
-    return apps;
-}
-
-/** The figure's processor sweep: --procs if given, else @p defaults. */
-inline std::vector<std::uint32_t>
-benchProcs(const BenchArgs &args,
-           std::initializer_list<std::uint32_t> defaults)
-{
-    if (!args.procs.empty())
-        return args.procs;
-    return std::vector<std::uint32_t>(defaults);
+    return v;
 }
 
 } // namespace tccbench

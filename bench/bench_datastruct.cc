@@ -42,6 +42,7 @@
 #include <thread>
 #include <vector>
 
+#include "bench_common.hh"
 #include "common/log.hh"
 #include "core/sweep.hh"
 #include "core/system.hh"
@@ -334,8 +335,7 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
+            jobs = tccbench::parseJobs(argv[i] + 7);
         } else {
             std::fprintf(stderr,
                          "usage: %s [--smoke] [--out PATH] "

@@ -30,7 +30,6 @@
 
 #include "bench_common.hh"
 #include "common/log.hh"
-#include "noc/chaos_network.hh"
 #include "workload/scripted_source.hh"
 
 // Configure-time git revision (set by bench/CMakeLists.txt) so each
@@ -154,49 +153,6 @@ flatMapEventsPerSec(std::uint32_t txns_per_phase)
 }
 
 /**
- * Chaos gate: run every fault preset over one application with both
- * checkers armed; returns how many presets came back clean. Recorded
- * in BENCH_sweep.json as chaos_configs_passed so the trend file shows
- * when a protocol change stops tolerating an adversarial network.
- */
-std::size_t
-chaosConfigsPassed(bool smoke, unsigned jobs, std::size_t *total)
-{
-    const auto &presets = tcc::chaosPresetNames();
-    *total = presets.size();
-    SweepRunner runner(jobs);
-    const auto outcomes = sweepIndex<RunOutcome>(
-        runner, presets.size(), [&](std::size_t i) {
-            RunOptions opt;
-            opt.procs = smoke ? 4u : 8u;
-            opt.seed = 1 + i;
-            opt.network.model = NetworkConfig::Model::Chaos;
-            opt.network.chaos = tcc::chaosPreset(presets[i]);
-            opt.network.chaos.seed = 0xC7A05 + i;
-            opt.check.serial = true;
-            opt.check.invariants = true;
-            if (smoke)
-                opt.wl.set("phases", "1")
-                    .set("max_txns_per_phase", "64");
-            return runWorkload("radix", opt);
-        });
-    std::size_t passed = 0;
-    for (std::size_t i = 0; i < outcomes.size(); ++i) {
-        const RunOutcome &out = outcomes[i];
-        if (out.completed && out.serial.ok && out.invariants.ok) {
-            ++passed;
-        } else {
-            std::fprintf(stderr, "chaos preset '%s' FAILED: %s\n",
-                         presets[i].c_str(),
-                         !out.completed    ? "did not complete"
-                         : !out.serial.ok ? out.serial.error.c_str()
-                                          : out.invariants.error.c_str());
-        }
-    }
-    return passed;
-}
-
-/**
  * Observability wiring check (same scenario as bench_kernel's): the
  * 2-processor scripted conflict with all trace categories on, text
  * output off. Zero captured events means the instrumentation broke.
@@ -246,8 +202,7 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
+            jobs = parseJobs(argv[i] + 7);
         } else {
             std::fprintf(
                 stderr,
@@ -364,13 +319,6 @@ main(int argc, char **argv)
                 "(scripted conflict)\n",
                 (unsigned long long)traceEvents);
 
-    std::size_t chaosTotal = 0;
-    const std::size_t chaosPassed =
-        chaosConfigsPassed(smoke, jobs, &chaosTotal);
-    std::printf("chaos gate         : %zu / %zu presets clean "
-                "(serial + invariant checkers)\n",
-                chaosPassed, chaosTotal);
-
     std::FILE *f = std::fopen(outPath.c_str(), "w");
     if (!f) {
         std::fprintf(stderr, "cannot open %s for writing\n",
@@ -399,8 +347,6 @@ main(int argc, char **argv)
                  "  \"arena_chunks\": %llu,\n"
                  "  \"trace_events_captured\": %llu,\n"
                  "  \"metrics_epochs\": %llu,\n"
-                 "  \"chaos_configs_passed\": %zu,\n"
-                 "  \"chaos_configs_total\": %zu,\n"
                  "  \"hardware_concurrency\": %u,\n"
                  "  \"git_rev\": \"%s\",\n"
                  "  \"config\": {\n"
@@ -417,8 +363,7 @@ main(int argc, char **argv)
                  (unsigned long long)flat.arenaPeakBytes,
                  (unsigned long long)flat.arenaChunks,
                  (unsigned long long)traceEvents,
-                 (unsigned long long)metricsEpochs, chaosPassed,
-                 chaosTotal, hw, TCC_GIT_REV,
+                 (unsigned long long)metricsEpochs, hw, TCC_GIT_REV,
                  smoke ? "true" : "false", nApps, grid.size());
     std::fclose(f);
     std::printf("wrote %s\n", outPath.c_str());
@@ -430,13 +375,6 @@ main(int argc, char **argv)
     // thread can't speed up by oversubscribing, so the gate only
     // arms when the hardware can actually run workers side by side
     // (the JSON's hardware_concurrency key says which case this was).
-    if (chaosPassed != chaosTotal) {
-        std::fprintf(stderr,
-                     "FAIL: %zu of %zu chaos presets broke the "
-                     "protocol checkers\n",
-                     chaosTotal - chaosPassed, chaosTotal);
-        return 1;
-    }
     if (!smoke && jobs > 1 && hw > 1 && speedup < 1.0) {
         // On a noisy machine (high run-to-run variance) a sub-1.0
         // ratio is as likely to be scheduler interference as a real

@@ -124,8 +124,7 @@ main(int argc, char **argv)
                    i + 1 < argc) {
             outPath = argv[++i];
         } else if (std::strncmp(argv[i], "--jobs=", 7) == 0) {
-            jobs = static_cast<unsigned>(
-                std::strtoul(argv[i] + 7, nullptr, 10));
+            jobs = parseJobs(argv[i] + 7);
         } else {
             std::fprintf(
                 stderr,

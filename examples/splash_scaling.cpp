@@ -11,8 +11,9 @@
  *   max_procs  largest power-of-two processor count (default 32)
  */
 
+#include <charconv>
 #include <cstdio>
-#include <cstdlib>
+#include <cstring>
 #include <string>
 
 #include "core/report.hh"
@@ -25,8 +26,20 @@ int
 main(int argc, char **argv)
 {
     const std::string app_name = argc > 1 ? argv[1] : "barnes";
-    const std::uint32_t max_procs =
-        argc > 2 ? static_cast<std::uint32_t>(std::atoi(argv[2])) : 32;
+    // The whole token must be a decimal in [1, 4096], the largest
+    // machine SystemConfig accepts: a typo must not become an empty
+    // or endless sweep.
+    std::uint32_t max_procs = 32;
+    if (argc > 2) {
+        const char *end = argv[2] + std::strlen(argv[2]);
+        const auto [ptr, ec] = std::from_chars(argv[2], end, max_procs);
+        if (ec != std::errc() || ptr != end || max_procs == 0 ||
+            max_procs > 4096) {
+            std::fprintf(stderr, "invalid value '%s' for max_procs\n",
+                         argv[2]);
+            return 1;
+        }
+    }
 
     if (!isWorkload(app_name)) {
         std::fprintf(stderr, "unknown workload '%s'\n",

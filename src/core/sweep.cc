@@ -1,6 +1,8 @@
 #include "core/sweep.hh"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 
 #include "common/log.hh"
 
@@ -10,10 +12,11 @@ unsigned
 SweepRunner::defaultJobs()
 {
     if (const char *env = std::getenv("TCC_JOBS")) {
-        char *end = nullptr;
-        const unsigned long n = std::strtoul(env, &end, 10);
-        if (end != env && *end == '\0' && n > 0)
-            return static_cast<unsigned>(n);
+        const char *end = env + std::strlen(env);
+        unsigned n = 0;
+        const auto [ptr, ec] = std::from_chars(env, end, n);
+        if (ec == std::errc() && ptr == end && n > 0 && n <= kMaxJobs)
+            return n;
         warn("ignoring malformed TCC_JOBS='%s'", env);
     }
     const unsigned hw = std::thread::hardware_concurrency();

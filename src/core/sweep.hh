@@ -54,10 +54,13 @@ class SweepRunner
     SweepRunner(const SweepRunner &) = delete;
     SweepRunner &operator=(const SweepRunner &) = delete;
 
+    /** Largest worker count a --jobs flag or TCC_JOBS may ask for. */
+    static constexpr unsigned kMaxJobs = 1024;
+
     /**
      * Worker count chosen when the constructor gets jobs == 0: the
-     * TCC_JOBS environment variable if set and positive, else
-     * std::thread::hardware_concurrency(), else 1.
+     * TCC_JOBS environment variable if it is a plain decimal in
+     * [1, kMaxJobs], else std::thread::hardware_concurrency(), else 1.
      */
     static unsigned defaultJobs();
 

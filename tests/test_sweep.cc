@@ -99,6 +99,22 @@ TEST(SweepRunner, DefaultJobsHonorsEnv)
     EXPECT_GE(SweepRunner::defaultJobs(), 1u);
 }
 
+TEST(SweepRunner, DefaultJobsIgnoresSignedOrHugeEnv)
+{
+    ASSERT_EQ(unsetenv("TCC_JOBS"), 0);
+    const unsigned hw = SweepRunner::defaultJobs();
+    // A sign, trailing junk or a count over kMaxJobs is malformed
+    // ("-1" must not wrap to ULONG_MAX workers): fall back to the
+    // hardware count.
+    for (const char *bad : {"-1", "+2", "1025", "4294967297", "2x"}) {
+        ASSERT_EQ(setenv("TCC_JOBS", bad, 1), 0);
+        EXPECT_EQ(SweepRunner::defaultJobs(), hw) << bad;
+    }
+    ASSERT_EQ(setenv("TCC_JOBS", "1024", 1), 0);
+    EXPECT_EQ(SweepRunner::defaultJobs(), SweepRunner::kMaxJobs);
+    ASSERT_EQ(unsetenv("TCC_JOBS"), 0);
+}
+
 // ---------------------------------------------------------------------
 // Determinism: parallel == serial, bit for bit.
 // ---------------------------------------------------------------------
